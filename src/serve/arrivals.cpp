@@ -73,8 +73,10 @@ std::vector<TraceEvent> load_arrival_trace(const std::string& path) {
     try {
       std::size_t used = 0;
       e.arrival_s = std::stod(row[*time_col], &used);
-      if (used != row[*time_col].size()) {
-        throw std::invalid_argument("trailing characters");
+      // NaN would also slip past the negativity check below and break
+      // the stable_sort's ordering.
+      if (used != row[*time_col].size() || !std::isfinite(e.arrival_s)) {
+        throw std::invalid_argument("trailing characters or non-finite");
       }
     } catch (const std::exception&) {
       throw std::invalid_argument("bad arrival_s value in trace: \"" +

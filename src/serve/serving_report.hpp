@@ -17,7 +17,8 @@ struct ServingMetrics {
   std::uint64_t offered = 0;    ///< requests that arrived
   std::uint64_t completed = 0;  ///< requests that finished
   /// Requests rejected at admission (SLA-aware shedding); every offered
-  /// request is either completed or shed, so offered == completed + shed.
+  /// request is completed, shed, or abandoned (see `abandoned` below), so
+  /// offered == completed + shed + abandoned.
   std::uint64_t shed = 0;
   double makespan_s = 0.0;      ///< first arrival to last completion
   double throughput_rps = 0.0;

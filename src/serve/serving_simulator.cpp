@@ -53,15 +53,16 @@ struct InFlightBatch {
   double wait_since_s = 0.0;  ///< when it queued on the current resource
 };
 
-/// An exclusive, FIFO-granted chiplet-group resource (layer mode).
+/// An exclusive chiplet-group resource, granted priority-first and FIFO
+/// within a priority class.
 struct Resource {
   bool busy = false;
   bool shared = false;
   std::vector<std::size_t> chiplets;  ///< pool-global ids
   std::deque<std::shared_ptr<InFlightBatch>> waiters;
-  /// Tenant-level waiters (variable-length tenants serving batch-granular
-  /// or continuous iterations under layer mode): whole units of work
-  /// queued on this resource alongside the stage waiters above.
+  /// Tenant-level waiters (whole batches served batch-granular, or
+  /// continuous iterations): whole units of work queued on this resource
+  /// alongside the layer-mode stage waiters above.
   std::deque<std::size_t> tenant_waiters;
   /// Last tenant that executed on this resource — a different acquirer
   /// pays the cross-tenant handoff retune (shared resources only).
@@ -171,7 +172,7 @@ struct TenantState {
   double accum_s = 0.0;
   /// Per-busy-period energy accumulator, flushed into report.energy_j at
   /// the next re-anchor (and at finalize): the report total is then the
-  /// same per-period left-to-right fold begin_execution_tokens performs,
+  /// same per-period left-to-right fold begin_execution performs,
   /// so the single-user degeneracy holds for energy bit-for-bit too.
   double energy_accum_j = 0.0;
 
@@ -203,18 +204,15 @@ struct Engine {
   std::vector<TenantState> tenants;
   ServingReport report;
 
-  // Shared-serial chiplet pool: exclusive, FIFO-granted.
-  bool shared_busy = false;
-  std::deque<std::size_t> shared_waiters;
-
   // ReSiPI serialization: one reconfiguration window at a time on the
   // shared interposer; a tenant never conflicts with itself (its own
   // reconfigurations are part of its serialized batches).
   std::size_t resipi_holder = kNoTenant;
   double resipi_free_at = 0.0;
 
-  // Layer-granular mode: exclusive chiplet-group resources. Index 0 is
-  // the shared-serial pool; owned groups follow per tenant.
+  // Exclusive chiplet-group resources. Index 0 is the shared-serial pool
+  // (both pipeline modes); layer-granular mode adds every tenant's owned
+  // groups after it.
   std::vector<Resource> resources;
 
   double last_completion_s = 0.0;
@@ -283,20 +281,52 @@ struct Engine {
     }
   }
 
-  void record_resipi_conflict(double wait_s) {
-    if (rec != nullptr && rec->metering()) {
-      rec->metrics().add("resipi.conflicts");
-      rec->metrics().add("resipi.wait_s", wait_s);
+  /// Serialize one reconfiguration window of tenant `t` on the shared
+  /// interposer: wait out another tenant's window, then reserve
+  /// [start, start + window_s). Returns the (possibly delayed) start. A
+  /// tenant never conflicts with itself, and the reservation never rolls
+  /// an earlier, longer one backwards (several of a layer-mode tenant's
+  /// batches can be in flight; a stage-0 handoff follows its own batch
+  /// window).
+  double claim_resipi(std::size_t t, double start, double window_s) {
+    if (resipi_holder != t && resipi_free_at > start) {
+      const double wait = resipi_free_at - start;
+      start += wait;
+      TenantReport& r = tenants[t].report;
+      r.resipi_wait_s += wait;
+      r.resipi_conflicts += 1;
+      if (rec != nullptr && rec->metering()) {
+        rec->metrics().add("resipi.conflicts");
+        rec->metrics().add("resipi.wait_s", wait);
+      }
     }
+    resipi_holder = t;
+    resipi_free_at = std::max(resipi_free_at, start + window_s);
+    return start;
   }
 
-  [[nodiscard]] bool layer_mode() const {
-    return config.pipeline == PipelineMode::kLayerGranular;
+  /// A run's own gateway retune (batch dispatch, layer-mode stage 0, a
+  /// continuous prefill): claims its window when the run retunes and
+  /// returns the window length (0 otherwise), delaying `start` past any
+  /// conflict. The PCM writes happen inside the run (they are charged in
+  /// its latency); the window only excludes *other* tenants' writes.
+  double claim_run_window(std::size_t t, double& start,
+                          const core::RunResult& run) {
+    if (config.arch != accel::Architecture::kSiph2p5D ||
+        run.resipi_reconfigurations == 0) {
+      return 0.0;
+    }
+    const double window_s =
+        std::min(run.latency_s,
+                 static_cast<double>(run.resipi_reconfigurations) *
+                     config.system.tech.photonic.pcm.write_time_s);
+    start = claim_resipi(t, start, window_s);
+    return window_s;
   }
 
   /// Record that a tenant of `priority` holds shared-serial capacity
   /// until `end` (feeds the class-aware admission estimate).
-  void note_shared_busy_until(unsigned priority, double end) {
+  void note_shared_held_until(unsigned priority, double end) {
     double& est = shared_est_free_by_class[priority];
     est = std::max(est, end);
   }
@@ -359,26 +389,20 @@ struct Engine {
     return total;
   }
 
-  /// Acquire the shared-serial pool for tenant-level work (a
-  /// variable-length batch or a continuous iteration); false = queued.
-  /// Batch mode uses the batch engine's lock; layer mode queues on the
-  /// shared Resource so stage-granular tenants and whole-batch tenants
-  /// contend on the same physical chiplets.
-  [[nodiscard]] bool acquire_shared_for_tenant(std::size_t t) {
-    if (layer_mode()) {
-      Resource& r = resources[0];
-      if (r.busy) {
-        r.tenant_waiters.push_back(t);
-        return false;
-      }
-      r.busy = true;
-      return true;
-    }
-    if (shared_busy) {
-      shared_waiters.push_back(t);
+  /// Acquire the shared-serial pool (resources[0]) for tenant-level work
+  /// (a whole batch or a continuous iteration); false = queued since
+  /// `now`. Stage-granular batches queue on the same Resource, so every
+  /// executor contends on the same physical chiplets.
+  [[nodiscard]] bool acquire_shared_for_tenant(std::size_t t, double now) {
+    TenantState& ts = tenants[t];
+    Resource& r = resources[0];
+    if (r.busy) {
+      r.tenant_waiters.push_back(t);
+      ts.pending_since = now;
       return false;
     }
-    shared_busy = true;
+    r.busy = true;
+    ts.holds_shared = true;
     return true;
   }
 
@@ -395,20 +419,6 @@ struct Engine {
       waiter.pending.clear();
       begin_execution(w, std::move(pending));
     }
-  }
-
-  /// Release the shared pool after tenant-level work (batch mode lock, or
-  /// the layer-mode shared Resource), granting priority-first.
-  void release_shared_from_tenant(double now) {
-    if (layer_mode()) {
-      release_resource(0);
-      return;
-    }
-    if (shared_waiters.empty()) {
-      shared_busy = false;
-      return;
-    }
-    grant_tenant_shared(pop_shared_waiter(), now);
   }
 
   /// Per-phase spans of a variable-length batch on the tenant's executor
@@ -470,6 +480,23 @@ struct Engine {
     }
   }
 
+  /// Queue span of one request: arrival until its work starts.
+  void trace_queue_span(std::size_t t, const Request& r, double start) {
+    rec->trace().add_complete("queue", "queue", r.arrival_s, start, pid,
+                              tenant_tracks[t], {obs::arg("request", r.id)});
+  }
+
+  /// ReSiPI window on the interposer track (nothing for a zero window).
+  void trace_retune_span(std::size_t t, double start, double window_s,
+                         const char* kind) {
+    if (window_s > 0.0) {
+      rec->trace().add_complete("retune", "resipi", start, start + window_s,
+                                pid, resipi_track,
+                                {obs::arg("tenant", tenants[t].report.name),
+                                 obs::arg("kind", kind)});
+    }
+  }
+
   /// Batch-granular trace: per-request queue spans closing at the batch
   /// start, the batch span on the tenant's executor track, and the ReSiPI
   /// window on the interposer track.
@@ -481,20 +508,14 @@ struct Engine {
     TenantState& ts = tenants[t];
     obs::TraceBuffer& tb = rec->trace();
     for (const Request& r : batch) {
-      tb.add_complete("queue", "queue", r.arrival_s, start, pid,
-                      tenant_tracks[t], {obs::arg("request", r.id)});
+      trace_queue_span(t, r, start);
     }
     tb.add_complete(
         "batch", "exec", start, end, pid, exec_tracks[t],
         {obs::arg("tenant", ts.report.name),
          obs::arg("batch", ts.report.batches - 1),
          obs::arg("size", static_cast<std::uint64_t>(batch.size()))});
-    if (resipi_window_s > 0.0) {
-      tb.add_complete("retune", "resipi", start, start + resipi_window_s,
-                      pid, resipi_track,
-                      {obs::arg("tenant", ts.report.name),
-                       obs::arg("kind", "batch_window")});
-    }
+    trace_retune_span(t, start, resipi_window_s, "batch_window");
   }
 
   /// Layer-granular trace: stage spans live on their chiplet-group track
@@ -510,8 +531,7 @@ struct Engine {
     obs::TraceBuffer& tb = rec->trace();
     if (b.stage == 0) {
       for (const Request& r : b.requests) {
-        tb.add_complete("queue", "queue", r.arrival_s, start, pid,
-                        tenant_tracks[b.tenant], {obs::arg("request", r.id)});
+        trace_queue_span(b.tenant, r, start);
       }
     }
     tb.add_complete(
@@ -521,13 +541,54 @@ struct Engine {
          obs::arg("first_layer", static_cast<std::uint64_t>(s.first_layer)),
          obs::arg("layer_count",
                   static_cast<std::uint64_t>(s.layer_count))});
-    if (resipi_window_s > 0.0) {
-      tb.add_complete(
-          "retune", "resipi", start, start + resipi_window_s, pid,
-          resipi_track,
-          {obs::arg("tenant", ts.report.name),
-           obs::arg("kind", handoff_s > 0.0 ? "handoff" : "batch_window")});
+    trace_retune_span(b.tenant, start, resipi_window_s,
+                      handoff_s > 0.0 ? "handoff" : "batch_window");
+  }
+
+  /// Book one executor interval [start, end): busy time on the tenant's
+  /// whole occupancy and, when recording, its BatchTrace row. `chiplets`
+  /// is the row's audited lock: the occupancy, or a layer-mode stage's
+  /// group.
+  void charge(std::size_t t, unsigned size, double start, double end,
+              double resipi_window_s,
+              const std::vector<std::size_t>& chiplets) {
+    TenantState& ts = tenants[t];
+    for (const std::size_t c : ts.occupancy) {
+      report.chiplet_busy_s[c] += end - start;
     }
+    ts.report.busy_s += end - start;
+    if (!config.record_batches) {
+      return;
+    }
+    BatchTrace& trace = report.batches.emplace_back();
+    trace.tenant = t;
+    trace.size = size;
+    trace.start_s = start;
+    trace.end_s = end;
+    trace.chiplets = chiplets;
+    trace.resipi_start_s = start;
+    trace.resipi_end_s = start + resipi_window_s;
+  }
+
+  /// One completion, shared by every executor: latencies, counts, the
+  /// day curve, observability hooks, and the closed-loop reissue.
+  void finish(std::size_t t, const std::vector<Request>& requests,
+              double now) {
+    TenantState& ts = tenants[t];
+    for (const Request& r : requests) {
+      ts.latencies.push_back(now - r.arrival_s);
+    }
+    ts.report.completed += requests.size();
+    if (DayPoint* bucket = curve_bucket(now)) {
+      bucket->completed += requests.size();
+    }
+    if (rec != nullptr) {
+      record_completions(t, requests, now);
+    }
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      issue_closed(t);  // each response frees one closed-loop user
+    }
+    last_completion_s = std::max(last_completion_s, now);
   }
 
   /// Periodic metric snapshot: sample the queue-depth / in-flight gauges
@@ -1084,176 +1145,83 @@ struct Engine {
     }
     std::vector<Request> batch = ts.queue.take(ts.arrivals_done);
     ts.busy = true;
-    if (ts.needs_shared) {
-      if (!acquire_shared_for_tenant(t)) {
-        ts.pending = std::move(batch);
-        ts.pending_since = now;
-        return;
-      }
-      ts.holds_shared = true;
+    if (ts.needs_shared && !acquire_shared_for_tenant(t, now)) {
+      ts.pending = std::move(batch);
+      return;
     }
     begin_execution(t, std::move(batch));
   }
 
-  void begin_execution(std::size_t t, std::vector<Request> batch) {
-    TenantState& ts = tenants[t];
-    if (ts.var_length) {
-      begin_execution_tokens(t, std::move(batch));
-      return;
-    }
-    const double now = events.now();
-    const auto batch_size = static_cast<unsigned>(batch.size());
-    const core::RunResult& run = oracle->batch_run(t, batch_size);
-
-    double start = elastic_wake(t, now);
-    double resipi_window_s = 0.0;
-    if (config.arch == accel::Architecture::kSiph2p5D &&
-        run.resipi_reconfigurations > 0) {
-      if (resipi_holder != t && resipi_free_at > start) {
-        const double wait = resipi_free_at - start;
-        start += wait;
-        ts.report.resipi_wait_s += wait;
-        ts.report.resipi_conflicts += 1;
-        record_resipi_conflict(wait);
-      }
-      // The PCM writes happen inside the run (they are charged in its
-      // latency); the window only excludes *other* tenants' writes.
-      resipi_window_s =
-          std::min(run.latency_s,
-                   static_cast<double>(run.resipi_reconfigurations) *
-                       config.system.tech.photonic.pcm.write_time_s);
-      resipi_holder = t;
-      resipi_free_at = start + resipi_window_s;
-    }
-    // derate_mult is exactly 1.0 unless a drift fault fired, so the
-    // multiply is bit-exact on the static path.
-    const double end = start + run.latency_s * derate_mult;
-    ts.est_free_s = end;
-    if (ts.needs_shared) {
-      note_shared_busy_until(ts.priority, end);
-    }
-
-    for (const std::size_t c : ts.occupancy) {
-      report.chiplet_busy_s[c] += end - start;
-    }
-    ts.report.busy_s += end - start;
-    ts.report.energy_j += run.energy_j;
-    ts.report.batches += 1;
-    report.ledger.merge(run.ledger);
-    if (DayPoint* bucket = curve_bucket(start)) {
-      bucket->energy_j += run.energy_j;
-    }
-    if (config.record_batches) {
-      BatchTrace trace;
-      trace.tenant = t;
-      trace.size = batch_size;
-      trace.start_s = start;
-      trace.end_s = end;
-      trace.chiplets = ts.occupancy;
-      trace.resipi_start_s = start;
-      trace.resipi_end_s = start + resipi_window_s;
-      report.batches.push_back(std::move(trace));
-    }
-    if (rec != nullptr) {
-      record_dispatch_metrics(batch_size, run);
-      record_batch_trace(t, batch, start, end, resipi_window_s);
-    }
-    events.schedule_at(end, [this, t, b = std::move(batch)] {
-      complete(t, b);
-    });
-  }
-
-  /// Variable-length counterpart of begin_execution: the batch is priced
-  /// per phase with padding semantics — one prefill at the longest prompt
-  /// (weights amortize over the batch exactly as in a fixed-shape run),
-  /// then one decode step per generated token up to the longest
-  /// generation, each step attending the padded KV length. The total
+  /// Run one whole batch. A variable-length batch is priced per phase
+  /// with padding semantics — one prefill at the longest prompt (weights
+  /// amortize over the batch exactly as in a fixed-shape run), then one
+  /// decode step per generated token up to the longest generation, each
+  /// step attending the padded KV length. A fixed-shape batch is the
+  /// zero-decode-step case, its first run priced by batch_run. The total
   /// accumulates left-to-right over (prefill, d1, d2, ...) — the same
   /// fold the continuous engine's per-iteration accumulator performs — so
   /// a single-request kNone batch and an unstalled continuous busy period
-  /// complete at bit-identical times. ReSiPI derives from the prefill run
+  /// complete at bit-identical times. ReSiPI derives from the first run
   /// only: decode steps re-stream the same weights through the same
   /// gateway configuration, so nothing retunes between iterations.
-  void begin_execution_tokens(std::size_t t, std::vector<Request> batch) {
+  void begin_execution(std::size_t t, std::vector<Request> batch) {
     TenantState& ts = tenants[t];
-    const double now = events.now();
     const auto batch_size = static_cast<unsigned>(batch.size());
     std::uint32_t pmax = 1;
     std::uint32_t dmax = 0;
     std::uint64_t footprint = 0;
-    for (const Request& r : batch) {
-      pmax = std::max(pmax, r.shape.prefill_tokens);
-      dmax = std::max(dmax, r.shape.decode_tokens);
-      footprint += footprint_bytes(ts, r.shape);
-    }
-    const core::RunResult& pre = oracle->prefill_run(t, batch_size, pmax);
-
-    double start = elastic_wake(t, now);
-    double resipi_window_s = 0.0;
-    if (config.arch == accel::Architecture::kSiph2p5D &&
-        pre.resipi_reconfigurations > 0) {
-      if (resipi_holder != t && resipi_free_at > start) {
-        const double wait = resipi_free_at - start;
-        start += wait;
-        ts.report.resipi_wait_s += wait;
-        ts.report.resipi_conflicts += 1;
-        record_resipi_conflict(wait);
+    if (ts.var_length) {
+      for (const Request& r : batch) {
+        pmax = std::max(pmax, r.shape.prefill_tokens);
+        dmax = std::max(dmax, r.shape.decode_tokens);
+        footprint += footprint_bytes(ts, r.shape);
       }
-      resipi_window_s =
-          std::min(pre.latency_s,
-                   static_cast<double>(pre.resipi_reconfigurations) *
-                       config.system.tech.photonic.pcm.write_time_s);
-      resipi_holder = t;
-      resipi_free_at = start + resipi_window_s;
     }
+    const core::RunResult& first =
+        ts.var_length ? oracle->prefill_run(t, batch_size, pmax)
+                      : oracle->batch_run(t, batch_size);
 
-    double total_s = pre.latency_s;
-    double energy_j = pre.energy_j;
-    report.ledger.merge(pre.ledger);
+    double start = elastic_wake(t, events.now());
+    const double resipi_window_s = claim_run_window(t, start, first);
+    double total_s = first.latency_s;
+    double energy_j = first.energy_j;
+    report.ledger.merge(first.ledger);
     for (std::uint32_t k = 0; k < dmax; ++k) {
       const core::RunResult& step = oracle->decode_run(t, batch_size, pmax + k);
       total_s += step.latency_s;
       energy_j += step.energy_j;
       report.ledger.merge(step.ledger);
     }
+    // derate_mult is exactly 1.0 unless a drift fault fired, so the
+    // multiply is bit-exact on the static path.
     const double end = start + total_s * derate_mult;
-    const double prefill_end = start + pre.latency_s * derate_mult;
+    const double prefill_end = start + first.latency_s * derate_mult;
     ts.est_free_s = end;
     if (ts.needs_shared) {
-      note_shared_busy_until(ts.priority, end);
+      note_shared_held_until(ts.priority, end);
     }
-    kv_update(t, footprint, true);
-    for (const Request& r : batch) {
-      ts.ttfts.push_back(prefill_end - r.arrival_s);
-      if (rec != nullptr && rec->metering()) {
-        rec->metrics().observe("serve.ttft", prefill_end - r.arrival_s);
+    if (ts.var_length) {
+      kv_update(t, footprint, true);
+      for (const Request& r : batch) {
+        ts.ttfts.push_back(prefill_end - r.arrival_s);
+        if (rec != nullptr && rec->metering()) {
+          rec->metrics().observe("serve.ttft", prefill_end - r.arrival_s);
+        }
       }
     }
 
-    for (const std::size_t c : ts.occupancy) {
-      report.chiplet_busy_s[c] += end - start;
-    }
-    ts.report.busy_s += end - start;
+    charge(t, batch_size, start, end, resipi_window_s, ts.occupancy);
     ts.report.energy_j += energy_j;
     ts.report.batches += 1;
     if (DayPoint* bucket = curve_bucket(start)) {
       bucket->energy_j += energy_j;
     }
-    if (config.record_batches) {
-      BatchTrace trace;
-      trace.tenant = t;
-      trace.size = batch_size;
-      trace.start_s = start;
-      trace.end_s = end;
-      trace.chiplets = ts.occupancy;
-      trace.resipi_start_s = start;
-      trace.resipi_end_s = start + resipi_window_s;
-      report.batches.push_back(std::move(trace));
-    }
     if (rec != nullptr) {
-      record_dispatch_metrics(batch_size, pre);
+      record_dispatch_metrics(batch_size, first);
       record_batch_trace(t, batch, start, end, resipi_window_s);
-      record_phase_spans(t, start, prefill_end, end);
+      if (ts.var_length) {
+        record_phase_spans(t, start, prefill_end, end);
+      }
     }
     events.schedule_at(end, [this, t, b = std::move(batch)] {
       complete(t, b);
@@ -1276,24 +1244,9 @@ struct Engine {
     return best;
   }
 
-  std::size_t pop_shared_waiter() {
-    const auto best =
-        best_waiter(shared_waiters, [](std::size_t t) { return t; });
-    const std::size_t w = *best;
-    shared_waiters.erase(best);
-    return w;
-  }
-
   void complete(std::size_t t, const std::vector<Request>& batch) {
     TenantState& ts = tenants[t];
     const double now = events.now();
-    for (const Request& r : batch) {
-      ts.latencies.push_back(now - r.arrival_s);
-    }
-    ts.report.completed += batch.size();
-    if (DayPoint* bucket = curve_bucket(now)) {
-      bucket->completed += batch.size();
-    }
     if (ts.var_length) {
       std::uint64_t footprint = 0;
       for (const Request& r : batch) {
@@ -1302,23 +1255,17 @@ struct Engine {
       }
       kv_update(t, footprint, false);
     }
-    if (rec != nullptr) {
-      record_completions(t, batch, now);
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      issue_closed(t);  // each response frees one closed-loop user
-    }
+    finish(t, batch, now);
     ts.busy = false;
     if (config.elastic.gate) {
       ts.idle_since_s = now;  // closed (or re-measured) at the next dispatch
     }
-    last_completion_s = std::max(last_completion_s, now);
     if (ts.holds_shared) {
       // Release the shared pool; grant priority-first (FIFO in class).
       // Keyed on holds_shared, not needs_shared: a re-partition may have
       // flipped needs_shared while this batch held the lock.
       ts.holds_shared = false;
-      release_shared_from_tenant(now);
+      release_resource(0);
     }
     try_dispatch(t);
   }
@@ -1356,9 +1303,7 @@ struct Engine {
       seq.decode_left = seq.request.shape.decode_tokens;
       ts.active.push_back(seq);
       if (rec != nullptr && rec->tracing()) {
-        rec->trace().add_complete("queue", "queue", seq.request.arrival_s,
-                                  now, pid, tenant_tracks[t],
-                                  {obs::arg("request", seq.request.id)});
+        trace_queue_span(t, seq.request, now);
       }
     }
     if (ts.active.empty()) {
@@ -1367,13 +1312,9 @@ struct Engine {
       }
       return;  // busy period over; the next arrival restarts it
     }
-    if (ts.needs_shared) {
-      if (!acquire_shared_for_tenant(t)) {
-        ts.iter_waiting_shared = true;
-        ts.pending_since = now;
-        return;
-      }
-      ts.holds_shared = true;
+    if (ts.needs_shared && !acquire_shared_for_tenant(t, now)) {
+      ts.iter_waiting_shared = true;
+      return;
     }
     continuous_iterate(t);
   }
@@ -1396,11 +1337,13 @@ struct Engine {
   /// Price and schedule one iteration. `fresh` names the sequences of a
   /// prefill iteration (empty = decode iteration over the whole set).
   /// Iteration ends accumulate as origin + (accum += dt): the identical
-  /// left-to-right fold begin_execution_tokens performs, so a lone
+  /// left-to-right fold begin_execution performs, so a lone
   /// request's completion matches the static kNone price bit-for-bit.
   void run_cont_iteration(std::size_t t, std::vector<std::size_t> fresh) {
     TenantState& ts = tenants[t];
     const bool prefill_phase = !fresh.empty();
+    const auto size =
+        static_cast<unsigned>(prefill_phase ? fresh.size() : ts.active.size());
     double start = elastic_wake(t, events.now());
     const core::RunResult* run = nullptr;
     double resipi_window_s = 0.0;
@@ -1409,37 +1352,20 @@ struct Engine {
       for (const std::size_t i : fresh) {
         pmax = std::max(pmax, ts.active[i].request.shape.prefill_tokens);
       }
-      run = &oracle->prefill_run(t, static_cast<unsigned>(fresh.size()),
-                                pmax);
+      run = &oracle->prefill_run(t, size, pmax);
       // The prefill retunes gateways exactly like a batch dispatch;
       // decode iterations reuse the configuration and never retune.
-      if (config.arch == accel::Architecture::kSiph2p5D &&
-          run->resipi_reconfigurations > 0) {
-        if (resipi_holder != t && resipi_free_at > start) {
-          const double wait = resipi_free_at - start;
-          start += wait;
-          ts.report.resipi_wait_s += wait;
-          ts.report.resipi_conflicts += 1;
-          record_resipi_conflict(wait);
-        }
-        resipi_window_s =
-            std::min(run->latency_s,
-                     static_cast<double>(run->resipi_reconfigurations) *
-                         config.system.tech.photonic.pcm.write_time_s);
-        resipi_holder = t;
-        resipi_free_at = start + resipi_window_s;
-      }
+      resipi_window_s = claim_run_window(t, start, *run);
       ts.report.batches += 1;  // one dispatch group per prefill iteration
       if (rec != nullptr) {
-        record_dispatch_metrics(static_cast<unsigned>(fresh.size()), *run);
+        record_dispatch_metrics(size, *run);
       }
     } else {
       std::uint32_t kv_max = 0;
       for (const ActiveSeq& seq : ts.active) {
         kv_max = std::max(kv_max, seq.kv_tokens);
       }
-      run = &oracle->decode_run(t, static_cast<unsigned>(ts.active.size()),
-                               kv_max);
+      run = &oracle->decode_run(t, size, kv_max);
     }
     // Busy-period anchoring: contiguous iterations telescope through the
     // accumulator; any stall (idle gap, shared wait, ReSiPI wait)
@@ -1457,43 +1383,21 @@ struct Engine {
       // Only the current iteration is committed shared occupancy —
       // admission control must not charge other tenants for this
       // tenant's whole open-ended decode horizon.
-      note_shared_busy_until(ts.priority, end);
+      note_shared_held_until(ts.priority, end);
     }
-    for (const std::size_t c : ts.occupancy) {
-      report.chiplet_busy_s[c] += end - start;
-    }
-    ts.report.busy_s += end - start;
+    charge(t, size, start, end, resipi_window_s, ts.occupancy);
     ts.energy_accum_j += run->energy_j;
     report.ledger.merge(run->ledger);
     if (DayPoint* bucket = curve_bucket(start)) {
       bucket->energy_j += run->energy_j;
-    }
-    if (config.record_batches) {
-      BatchTrace trace;
-      trace.tenant = t;
-      trace.size = static_cast<unsigned>(prefill_phase ? fresh.size()
-                                                       : ts.active.size());
-      trace.start_s = start;
-      trace.end_s = end;
-      trace.chiplets = ts.occupancy;
-      trace.resipi_start_s = start;
-      trace.resipi_end_s = start + resipi_window_s;
-      report.batches.push_back(std::move(trace));
     }
     if (rec != nullptr && rec->tracing()) {
       rec->trace().add_complete(
           prefill_phase ? "prefill" : "decode", "phase", start, end, pid,
           exec_tracks[t],
           {obs::arg("tenant", ts.report.name),
-           obs::arg("size", static_cast<std::uint64_t>(
-                                prefill_phase ? fresh.size()
-                                              : ts.active.size()))});
-      if (resipi_window_s > 0.0) {
-        rec->trace().add_complete("retune", "resipi", start,
-                                  start + resipi_window_s, pid, resipi_track,
-                                  {obs::arg("tenant", ts.report.name),
-                                   obs::arg("kind", "batch_window")});
-      }
+           obs::arg("size", static_cast<std::uint64_t>(size))});
+      trace_retune_span(t, start, resipi_window_s, "batch_window");
     }
     ts.iter_running = true;
     events.schedule_at(end, [this, t, f = std::move(fresh)] {
@@ -1541,25 +1445,12 @@ struct Engine {
       }
     }
     if (!done.empty()) {
-      for (const Request& r : done) {
-        ts.latencies.push_back(now - r.arrival_s);
-      }
-      ts.report.completed += done.size();
-      if (DayPoint* bucket = curve_bucket(now)) {
-        bucket->completed += done.size();
-      }
       kv_update(t, released, false);
-      if (rec != nullptr) {
-        record_completions(t, done, now);
-      }
-      for (std::size_t i = 0; i < done.size(); ++i) {
-        issue_closed(t);  // each response frees one closed-loop user
-      }
-      last_completion_s = std::max(last_completion_s, now);
+      finish(t, done, now);
     }
     if (ts.holds_shared) {
       ts.holds_shared = false;
-      release_shared_from_tenant(now);
+      release_resource(0);
     }
     continuous_step(t);
   }
@@ -1667,32 +1558,13 @@ struct Engine {
     const ExecStage& s = (*b->stages)[b->stage];
     Resource& r = resources[s.resource];
     const auto batch_size = static_cast<unsigned>(b->requests.size());
-    const bool siph = config.arch == accel::Architecture::kSiph2p5D;
 
     double start = events.now();
     double resipi_window_s = 0.0;
     if (b->stage == 0) {
       const core::RunResult& run = oracle->batch_run(t, batch_size);
-      // The batch's own reconfiguration window, as in batch-granular mode:
-      // the PCM writes are charged inside the run's latency; the window
-      // only excludes *other* tenants' writes.
-      if (siph && run.resipi_reconfigurations > 0) {
-        if (resipi_holder != t && resipi_free_at > start) {
-          const double wait = resipi_free_at - start;
-          start += wait;
-          ts.report.resipi_wait_s += wait;
-          ts.report.resipi_conflicts += 1;
-          record_resipi_conflict(wait);
-        }
-        resipi_window_s =
-            std::min(run.latency_s,
-                     static_cast<double>(run.resipi_reconfigurations) *
-                         config.system.tech.photonic.pcm.write_time_s);
-        resipi_holder = t;
-        // Several of this tenant's batches can be in flight: never roll
-        // an earlier, longer reservation backwards.
-        resipi_free_at = std::max(resipi_free_at, start + resipi_window_s);
-      }
+      // The batch's own reconfiguration window, as in batch-granular mode.
+      resipi_window_s = claim_run_window(t, start, run);
       ts.report.energy_j += run.energy_j;
       ts.report.batches += 1;
       report.ledger.merge(run.ledger);
@@ -1710,23 +1582,13 @@ struct Engine {
                               std::max<std::size_t>(ts.pipeline_depth, 1));
     }
     double handoff_s = 0.0;
-    if (s.shared && siph && r.last_tenant != kNoTenant &&
-        r.last_tenant != t) {
+    if (s.shared && config.arch == accel::Architecture::kSiph2p5D &&
+        r.last_tenant != kNoTenant && r.last_tenant != t) {
       // Cross-tenant handoff of the scarce group: retune its gateways for
       // the new tenant — one PCM write window, serialized on the shared
       // interposer like any other reconfiguration.
-      if (resipi_holder != t && resipi_free_at > start) {
-        const double wait = resipi_free_at - start;
-        start += wait;
-        ts.report.resipi_wait_s += wait;
-        ts.report.resipi_conflicts += 1;
-        record_resipi_conflict(wait);
-      }
       handoff_s = config.system.tech.photonic.pcm.write_time_s;
-      resipi_holder = t;
-      // A stage-0 shared handoff may follow the batch window set above;
-      // the interposer stays reserved until the *later* of the two.
-      resipi_free_at = std::max(resipi_free_at, start + handoff_s);
+      start = claim_resipi(t, start, handoff_s);
       ts.report.shared_handoffs += 1;
       ts.report.handoff_resipi_s += handoff_s;
       if (rec != nullptr && rec->metering()) {
@@ -1751,30 +1613,19 @@ struct Engine {
             : start + (s.end_offset_s - s.start_offset_s) + handoff_s;
     if (s.shared) {
       // Feed the admission estimate's cross-tenant contention term.
-      note_shared_busy_until(ts.priority, end);
+      note_shared_held_until(ts.priority, end);
     }
 
     // Busy accounting keeps batch-granular executor semantics (the whole
     // occupancy is "this tenant's executor working"), so utilization is
     // comparable across modes; the trace below audits the stage's actual
     // physical lock instead.
-    for (const std::size_t c : ts.occupancy) {
-      report.chiplet_busy_s[c] += end - start;
-    }
-    ts.report.busy_s += end - start;
+    charge(t, batch_size, start, end, resipi_window_s, r.chiplets);
     if (config.record_batches) {
-      BatchTrace trace;
-      trace.tenant = t;
-      trace.size = batch_size;
-      trace.start_s = start;
-      trace.end_s = end;
-      trace.chiplets = r.chiplets;
-      trace.resipi_start_s = start;
-      trace.resipi_end_s = start + resipi_window_s;
+      BatchTrace& trace = report.batches.back();
       trace.first_layer = s.first_layer;
       trace.layer_count = s.layer_count;
       trace.batch_id = b->id;
-      report.batches.push_back(std::move(trace));
     }
     if (rec != nullptr) {
       record_stage_trace(*b, s, start, end, resipi_window_s, handoff_s);
@@ -1838,23 +1689,8 @@ struct Engine {
   }
 
   void complete_layer_batch(std::shared_ptr<InFlightBatch> b) {
-    TenantState& ts = tenants[b->tenant];
-    const double now = events.now();
-    for (const Request& r : b->requests) {
-      ts.latencies.push_back(now - r.arrival_s);
-    }
-    ts.report.completed += b->requests.size();
-    if (DayPoint* bucket = curve_bucket(now)) {
-      bucket->completed += b->requests.size();
-    }
-    if (rec != nullptr) {
-      record_completions(b->tenant, b->requests, now);
-    }
-    for (std::size_t i = 0; i < b->requests.size(); ++i) {
-      issue_closed(b->tenant);  // each response frees one closed-loop user
-    }
-    ts.inflight -= 1;
-    last_completion_s = std::max(last_completion_s, now);
+    finish(b->tenant, b->requests, events.now());
+    tenants[b->tenant].inflight -= 1;
     try_dispatch(b->tenant);
   }
 };
@@ -2187,13 +2023,13 @@ ServingReport simulate(const ServingConfig& config) {
     }
     engine.tenants.push_back(std::move(state));
   }
+  // The exclusive chiplet-group resource table: the shared-serial pool
+  // first (both modes), then layer mode adds every tenant's owned groups.
+  Resource shared;
+  shared.shared = true;
+  shared.chiplets = plan.shared_chiplets;
+  engine.resources.push_back(std::move(shared));
   if (config.pipeline == PipelineMode::kLayerGranular) {
-    // Build the exclusive chiplet-group resource table: the shared-serial
-    // pool first, then every tenant's owned groups.
-    Resource shared;
-    shared.shared = true;
-    shared.chiplets = plan.shared_chiplets;
-    engine.resources.push_back(std::move(shared));
     for (std::size_t t = 0; t < config.tenants.size(); ++t) {
       TenantState& ts = engine.tenants[t];
       for (const auto& [kind, ids] : plan.tenants[t].owned_by_kind) {
@@ -2324,8 +2160,6 @@ ServingReport simulate(const ServingConfig& config) {
       engine.close_gate_gap(t, engine.last_completion_s);
     }
   }
-  OPTIPLET_ASSERT(engine.shared_waiters.empty(),
-                  "serving drained with tenants still queued on the pool");
   for (const Resource& resource : engine.resources) {
     OPTIPLET_ASSERT(!resource.busy && resource.waiters.empty() &&
                         resource.tenant_waiters.empty(),
@@ -2535,7 +2369,7 @@ ServingReport simulate(const ServingConfig& config) {
     if (rec->tracing()) {
       // One summary event per process: tools/check_trace_json.py
       // reconciles span counts against these totals (offered == request
-      // spans == completed + shed).
+      // spans == completed + shed + abandoned).
       rec->trace().add_instant(
           "serving_totals", "summary", engine.last_completion_s, engine.pid,
           rec->trace().track(engine.pid, "summary"),

@@ -89,6 +89,10 @@ TEST_F(TraceFile, RejectsMissingColumnAndBadValues) {
   EXPECT_THROW(load_arrival_trace(path_), std::invalid_argument);
   write("arrival_s\n-1.0\n");
   EXPECT_THROW(load_arrival_trace(path_), std::invalid_argument);
+  write("arrival_s\n1e-3\nnan\n");
+  EXPECT_THROW(load_arrival_trace(path_), std::invalid_argument);
+  write("arrival_s\ninf\n");
+  EXPECT_THROW(load_arrival_trace(path_), std::invalid_argument);
   EXPECT_THROW(load_arrival_trace("/no/such/trace.csv"),
                std::invalid_argument);
 }

@@ -417,5 +417,93 @@ TEST(ServingSimulator, MonolithicTenantsSerializeOnTheDie) {
   }
 }
 
+/// TinyGPT with token shapes co-located with CNNs on the monolithic die,
+/// where every tenant is shared-serial.
+ServingReport serve_on_mono(const char* mix, const char* priorities,
+                            PipelineMode pipeline) {
+  ServingSpec spec;
+  spec.tenant_mix = mix;
+  spec.priority_mix = priorities;
+  spec.arrival_rps = 20000.0;
+  spec.requests = 160;
+  spec.pipeline = pipeline;
+  auto config =
+      make_serving_config(core::default_system_config(),
+                          accel::Architecture::kMonolithicCrossLight, spec);
+  config.tenants[0].prefill_tokens = 16;
+  config.tenants[0].decode_tokens = 4;
+  config.tenants[0].token_spread = 0.5;
+  return simulate(config);
+}
+
+/// Both pipeline modes contend on the shared pool and agree on every
+/// simulated metric; only the oracle work counters may differ (layer
+/// mode also prices stage schedules).
+void expect_pool_modes_agree(const char* mix, const char* priorities) {
+  SCOPED_TRACE(std::string(mix) + " " + priorities);
+  const auto batch =
+      serve_on_mono(mix, priorities, PipelineMode::kBatchGranular);
+  const auto layer =
+      serve_on_mono(mix, priorities, PipelineMode::kLayerGranular);
+  for (const ServingReport* report : {&batch, &layer}) {
+    const ServingMetrics& m = report->metrics;
+    EXPECT_EQ(m.offered, m.completed + m.shed + m.abandoned);
+    for (const TenantReport& tenant : report->tenants) {
+      EXPECT_GT(tenant.shared_wait_s, 0.0) << tenant.name;
+    }
+  }
+  const ServingMetrics& a = batch.metrics;
+  const ServingMetrics& b = layer.metrics;
+  EXPECT_EQ(a.offered, b.offered);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.shed, b.shed);
+  EXPECT_EQ(a.makespan_s, b.makespan_s);
+  EXPECT_EQ(a.throughput_rps, b.throughput_rps);
+  EXPECT_EQ(a.goodput_rps, b.goodput_rps);
+  EXPECT_EQ(a.mean_latency_s, b.mean_latency_s);
+  EXPECT_EQ(a.p50_s, b.p50_s);
+  EXPECT_EQ(a.p95_s, b.p95_s);
+  EXPECT_EQ(a.p99_s, b.p99_s);
+  EXPECT_EQ(a.max_latency_s, b.max_latency_s);
+  EXPECT_EQ(a.sla_violation_rate, b.sla_violation_rate);
+  EXPECT_EQ(a.mean_batch, b.mean_batch);
+  EXPECT_EQ(a.utilization, b.utilization);
+  EXPECT_EQ(a.energy_j, b.energy_j);
+  EXPECT_EQ(a.energy_per_request_j, b.energy_per_request_j);
+  EXPECT_EQ(a.resipi_conflicts, b.resipi_conflicts);
+  EXPECT_EQ(a.resipi_wait_s, b.resipi_wait_s);
+  EXPECT_EQ(a.shared_handoffs, b.shared_handoffs);
+  EXPECT_EQ(a.handoff_resipi_s, b.handoff_resipi_s);
+  EXPECT_EQ(a.p99_hi_s, b.p99_hi_s);
+  EXPECT_EQ(a.p99_lo_s, b.p99_lo_s);
+  EXPECT_EQ(a.first_arrival_abs_s, b.first_arrival_abs_s);
+  EXPECT_EQ(a.last_completion_abs_s, b.last_completion_abs_s);
+  EXPECT_EQ(a.sim_events, b.sim_events);
+  EXPECT_EQ(a.sim_event_queue_peak, b.sim_event_queue_peak);
+  EXPECT_EQ(a.ttft_p99_s, b.ttft_p99_s);
+  EXPECT_EQ(a.decode_tps, b.decode_tps);
+  EXPECT_EQ(a.kv_peak_bytes, b.kv_peak_bytes);
+  EXPECT_EQ(a.abandoned, b.abandoned);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.repartitions, b.repartitions);
+  EXPECT_EQ(a.repartition_resipi_s, b.repartition_resipi_s);
+  EXPECT_EQ(a.gate_events, b.gate_events);
+  EXPECT_EQ(a.gated_idle_s, b.gated_idle_s);
+  EXPECT_EQ(a.faults_injected, b.faults_injected);
+  EXPECT_EQ(a.carbon_g, b.carbon_g);
+}
+
+TEST(ServingSimulator, TransformerAndCnnShareOnePoolArbiterInBothModes) {
+  // TinyGPT serves whole variable-length batches and the CNNs serve
+  // stages in layer mode, so both waiter kinds queue on the one
+  // shared-pool resource; batch mode must grant it identically through
+  // the same arbiter.
+  expect_pool_modes_agree("TinyGPT+LeNet5", "0+0");
+  expect_pool_modes_agree("TinyGPT+LeNet5", "1+0");
+  // Three tenants in distinct classes (no cross-queue ties) make the
+  // arbiter choose between a stage waiter and a tenant waiter.
+  expect_pool_modes_agree("TinyGPT+LeNet5+MobileNetV2", "1+0+2");
+}
+
 }  // namespace
 }  // namespace optiplet::serve

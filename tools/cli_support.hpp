@@ -12,6 +12,7 @@
 /// exactly once.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <functional>
@@ -106,11 +107,14 @@ class Logger {
   LogLevel level_;
 };
 
+/// Strict finite-number parse: trailing characters, `inf` and `nan` are
+/// rejected, so no flag can smuggle a non-finite value into a config (or
+/// through parse_count's cast to an integer).
 inline std::optional<double> parse_double(const std::string& text) {
   try {
     std::size_t used = 0;
     const double value = std::stod(text, &used);
-    if (used != text.size()) {
+    if (used != text.size() || !std::isfinite(value)) {
       return std::nullopt;
     }
     return value;
