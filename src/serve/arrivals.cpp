@@ -45,7 +45,12 @@ std::uint32_t parse_token_count(const std::string& text) {
 }  // namespace
 
 std::vector<TraceEvent> load_arrival_trace(const std::string& path) {
-  const auto doc = util::read_csv_file(path);
+  std::optional<util::CsvDocument> doc;
+  try {
+    doc = util::read_csv_file(path);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(path + ": " + e.what());
+  }
   if (!doc) {
     throw std::invalid_argument("cannot read arrival trace: " + path);
   }

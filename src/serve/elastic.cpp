@@ -1,5 +1,6 @@
 #include "serve/elastic.hpp"
 
+#include <cmath>
 #include <exception>
 #include <sstream>
 #include <string>
@@ -18,6 +19,8 @@ std::string fmt(double value) {
   return util::format_general(value, 17);
 }
 
+/// Finite numbers only, plus the literal "inf" the encoder writes for
+/// the inert knobs: "nan", "-inf" and other spellings are garbage.
 bool parse_double(const std::string& text, double& out) {
   if (text == "inf") {
     out = std::numeric_limits<double>::infinity();
@@ -26,7 +29,7 @@ bool parse_double(const std::string& text, double& out) {
   try {
     std::size_t pos = 0;
     out = std::stod(text, &pos);
-    return pos == text.size();
+    return pos == text.size() && std::isfinite(out);
   } catch (const std::exception&) {
     return false;
   }

@@ -119,7 +119,8 @@ struct ElasticSpec {
 [[nodiscard]] std::string to_string(const ElasticSpec& spec);
 
 /// Parse the `to_string` form (also accepts "static" / "" for the default).
-/// Returns nullopt on malformed input.
+/// Returns nullopt on malformed input, including non-finite numbers other
+/// than the literal "inf" the encoder writes.
 [[nodiscard]] std::optional<ElasticSpec> elastic_from_string(
     std::string_view text);
 

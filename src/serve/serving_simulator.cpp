@@ -1838,12 +1838,14 @@ ServingReport simulate(const ServingConfig& config) {
   }
   // Re-partitioning and faults need batch-granular dispatch: the
   // layer-granular resource table and stage chains are built once and
-  // cannot follow a mid-run ownership change.
+  // cannot follow a mid-run ownership change. Gating hooks only the
+  // batch-granular dispatch and completion, so under layer-granular
+  // execution it would be silently inert.
   OPTIPLET_REQUIRE(
-      (!pool_elastic && !any_armed) ||
+      (!pool_elastic && !any_armed && !elastic.gate) ||
           config.pipeline == PipelineMode::kBatchGranular,
-      "elastic re-partitioning and fault injection require batch-granular "
-      "pipeline mode");
+      "elastic re-partitioning, fault injection and idle power-gating "
+      "require batch-granular pipeline mode");
   OPTIPLET_REQUIRE(!pool_elastic ||
                        config.arch != accel::Architecture::kMonolithicCrossLight,
                    "elastic re-partitioning needs the 2.5D chiplet pool");

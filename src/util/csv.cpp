@@ -1,7 +1,9 @@
 #include "util/csv.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 
 namespace optiplet::util {
 
@@ -51,6 +53,7 @@ std::vector<std::vector<std::string>> parse_csv(std::string_view text) {
   std::vector<std::string> record;
   std::string field;
   bool in_quotes = false;
+  std::size_t quote_open = 0;  // offset of the current quote's opening
   // True once the current record holds any content (a field character, a
   // completed field, or an opening quote): distinguishes a lone "\n" (no
   // record) from "" followed by "\n" (one record of one empty field).
@@ -86,6 +89,7 @@ std::vector<std::vector<std::string>> parse_csv(std::string_view text) {
     switch (c) {
       case '"':
         in_quotes = true;
+        quote_open = i;
         record_started = true;
         break;
       case ',':
@@ -111,6 +115,12 @@ std::vector<std::vector<std::string>> parse_csv(std::string_view text) {
         record_started = true;
         break;
     }
+  }
+  if (in_quotes) {
+    const auto line =
+        1 + std::count(text.begin(), text.begin() + quote_open, '\n');
+    throw std::invalid_argument("unterminated quoted field opened on line " +
+                                std::to_string(line));
   }
   // Final record without a trailing newline.
   if (record_started || !record.empty() || !field.empty()) {

@@ -36,7 +36,9 @@ class CsvWriter {
 /// Parse CSV text into records of fields (RFC 4180): quoted fields may
 /// contain commas, doubled quotes, and newlines; unquoted CR before LF is
 /// treated as a CRLF line ending; the final record may or may not end with
-/// a newline. Fully empty trailing lines are not records.
+/// a newline. Fully empty trailing lines are not records. Throws
+/// std::invalid_argument naming the 1-based line where a quote that is
+/// never closed was opened.
 [[nodiscard]] std::vector<std::vector<std::string>> parse_csv(
     std::string_view text);
 
@@ -51,7 +53,7 @@ struct CsvDocument {
 };
 
 /// Read and parse `path`; nullopt when the file cannot be opened or holds
-/// no header record.
+/// no header record. Malformed CSV throws as parse_csv does.
 [[nodiscard]] std::optional<CsvDocument> read_csv_file(
     const std::string& path);
 

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 namespace optiplet::serve {
 namespace {
@@ -93,6 +95,17 @@ TEST_F(TraceFile, RejectsMissingColumnAndBadValues) {
   EXPECT_THROW(load_arrival_trace(path_), std::invalid_argument);
   write("arrival_s\ninf\n");
   EXPECT_THROW(load_arrival_trace(path_), std::invalid_argument);
+  // An unterminated quote fails with the trace path and the line the
+  // quote opened on.
+  write("arrival_s,tenant\n0.001,LeNet5\n0.002,\"LeNet5");
+  try {
+    (void)load_arrival_trace(path_);
+    ADD_FAILURE() << "unterminated quote was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(path_), std::string::npos) << message;
+    EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+  }
   EXPECT_THROW(load_arrival_trace("/no/such/trace.csv"),
                std::invalid_argument);
 }

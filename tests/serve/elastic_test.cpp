@@ -125,6 +125,13 @@ TEST(ElasticSpecCodec, RoundTripsAndRejectsGarbage) {
   EXPECT_FALSE(elastic_from_string("gate=1e-3").has_value());
   EXPECT_FALSE(elastic_from_string("fault=1:2:3").has_value());
   EXPECT_FALSE(elastic_from_string("bogus=1").has_value());
+  // Non-finite values are garbage too; only the encoder's literal "inf"
+  // (the inert knobs) parses.
+  EXPECT_FALSE(elastic_from_string("shift=nan").has_value());
+  EXPECT_FALSE(elastic_from_string("shift=-inf").has_value());
+  EXPECT_FALSE(elastic_from_string("gate=nan:1e-5").has_value());
+  EXPECT_FALSE(elastic_from_string("fault=nan:2:1:-1").has_value());
+  EXPECT_TRUE(elastic_from_string("shift=inf").has_value());
 
   // Arming semantics: the defaulted fault (t = inf) is unarmed, and so
   // is a finite-time no-op fault (no chiplet, no derate).
@@ -447,6 +454,21 @@ TEST(ElasticValidation, RejectsInvalidSpecsLoudly) {
   repart.pipeline = PipelineMode::kBatchGranular;
   EXPECT_THROW(run(repart, accel::Architecture::kMonolithicCrossLight),
                std::invalid_argument);
+
+  // Gating hooks only batch-granular dispatch: under layer-granular
+  // execution it would be silently inert, so it is refused.
+  ServingSpec gated = base_spec("LeNet5+MobileNetV2", 1000.0, 10);
+  gated.elastic.gate = true;
+  gated.elastic.gate_after_s = 1.0e-4;
+  gated.elastic.wake_s = 1.0e-5;
+  gated.pipeline = PipelineMode::kLayerGranular;
+  try {
+    (void)run(gated);
+    ADD_FAILURE() << "layer-granular gating was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("gating"), std::string::npos)
+        << e.what();
+  }
 
   ServingSpec bad_carbon = base_spec("LeNet5", 1000.0, 10);
   bad_carbon.elastic.carbon_amplitude = 1.5;

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 namespace optiplet::util {
 namespace {
@@ -120,6 +123,26 @@ TEST(ParseCsv, EmptyInputAndLoneNewline) {
   const auto records = parse_csv("\"\"\n");
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0], (std::vector<std::string>{""}));
+}
+
+TEST(ParseCsv, UnterminatedQuoteIsRejected) {
+  // A quote left open at EOF must not end the field silently, nor may a
+  // quote opened mid-file swallow the rest of the file into one cell.
+  const auto message = [](std::string_view text) {
+    try {
+      (void)parse_csv(text);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message("arrival_s,tenant\n0.002,\"LeNet5"),
+            "unterminated quoted field opened on line 2");
+  EXPECT_EQ(message("a,b\n\"x\n1,2\n3,4\n"),
+            "unterminated quoted field opened on line 2");
+  EXPECT_EQ(message("\"a"), "unterminated quoted field opened on line 1");
+  // A closed quote spanning lines is still fine.
+  EXPECT_EQ(parse_csv("a\n\"x\ny\"\n").size(), 2u);
 }
 
 TEST(ParseCsv, WriterOutputRoundTrips) {

@@ -2,7 +2,7 @@
 """Validator for the trace-event JSON the simulators emit.
 
 Checks the Chrome trace-event files written by `--trace-out`
-(optiplet_serve / optiplet_cluster) without any third-party tooling:
+(optiplet_serve, lone or rack) without any third-party tooling:
 
 * the file parses as a JSON object with a `traceEvents` array
 * every event carries the required keys (`name`, `ph`, `ts`, `pid`,

@@ -559,7 +559,7 @@ inline OptionSet::Parse append_fidelities(
 }
 
 /// Shared --fidelity help text (the axis is spelled identically in
-/// optiplet_sweep / optiplet_serve / optiplet_cluster).
+/// optiplet_sweep / optiplet_serve).
 inline const char* fidelity_help() {
   return "comma list of analytical|cycle|sampled (default\n"
          "analytical). \"cycle\" drives the SiPh interposer\n"

@@ -2,7 +2,10 @@
 /// Command-line front end of the request-level serving simulator: declare
 /// the tenant mix, offered-load points, and batching policies; evaluate
 /// the (rates x policies x fidelities) serving grid on a worker pool; and
-/// dump the tail-latency/throughput/energy columns as CSV.
+/// dump the tail-latency/throughput/energy columns as CSV. Giving
+/// --packages turns every scenario into a rack of interposer packages
+/// behind one front-end load balancer, adding the (packages x balancers x
+/// replication) axes and the transfer columns.
 ///
 /// Examples:
 ///   optiplet_serve --tenants LeNet5 --rates 500,1000,2000
@@ -22,6 +25,11 @@
 ///   optiplet_serve --tenants LeNet5 --rates 500 --admission shed \
 ///       --elastics static,shift=0.2/gate=1e-3:1e-4/bucket=3600 \
 ///       --curve-out day_curve.csv
+///   optiplet_serve --tenants LeNet5 --packages 1,2,4 --rates 2000
+///   optiplet_serve --tenants ResNet50,LeNet5 --packages 2 \
+///       --balancers rr,least --replication-mix 1+2
+///   optiplet_serve --tenants LeNet5 --packages 4 --replication 4 \
+///       --balancers locality --rates 4000
 
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +38,7 @@
 #include <vector>
 
 #include "cli_support.hpp"
+#include "cluster/cluster_simulator.hpp"
 #include "dnn/zoo.hpp"
 #include "engine/result_store.hpp"
 #include "engine/scenario.hpp"
@@ -63,6 +72,17 @@ int main(int argc, char** argv) {
   std::string curve_out;
   double snapshot_period_s = 0.0;
   cli::Logger log;
+  // A rack flag records its name: without --packages the run is a lone
+  // package, which would silently ignore it.
+  std::string rack_flag;
+  const auto rack_only = [&rack_flag](const char* flag,
+                                      cli::OptionSet::Parse parse) {
+    return [&rack_flag, flag, parse = std::move(parse)](
+               const std::string& value) {
+      rack_flag = flag;
+      return parse(value);
+    };
+  };
 
   cli::OptionSet options_set(
       "optiplet_serve",
@@ -74,7 +94,13 @@ tenant, an admission/batching policy with optional SLA-aware shedding,
 chiplet-pool partitioning between co-located tenants, and the
 full-system simulator as the (memoized) batch service-time oracle.
 Reports throughput, goodput, p50/p95/p99 latency, SLA violations, shed
-counts, utilization, and energy per request.)");
+counts, utilization, and energy per request.
+
+With --packages the same stream feeds a rack of N interposer packages
+(each a full Table-1 chiplet pool wrapping its own serving simulator)
+joined by board-level photonic links. A front-end load balancer picks
+the serving replica per request; off-ingress requests pay the photonic
+link-budget transfer cost, reported as transfer counts and energy.)");
   options_set
       .add("--tenants", "NAMES",
            "comma list of co-located registry models\n"
@@ -153,7 +179,7 @@ counts, utilization, and energy per request.)");
                                          "token spread"))
       .add("--kv-cache-mb", "MB",
            "per-tenant KV-cache activation budget [MiB]; caps\n"
-           "concurrent decode slots (default 256)",
+           "concurrent decode slots per package (default 256)",
            cli::store_positive_double(grid.serving_defaults.kv_cache_mb,
                                       "KV-cache budget"))
       .add("--elastics", "LIST",
@@ -161,8 +187,11 @@ counts, utilization, and energy per request.)");
            "'/'-joined k=v codec strings (\"static\",\n"
            "\"shift=0.2/tau=60\", \"gate=1e-3:1e-4\",\n"
            "\"retry=4:2e-3\", \"fault=1.0:2:1:-1\",\n"
-           "\"bucket=3600/carbon=400:0.5:86400\"; see\n"
-           "docs/elastic-operation.md; default static)",
+           "\"bucket=3600/carbon=400:0.5:86400\"; in a rack each\n"
+           "package runs the policy on its own pool, and a\n"
+           "fault=t:c:d:p entry is delivered only to package p\n"
+           "(p=-1 hits all); see docs/elastic-operation.md;\n"
+           "default static)",
            [&grid](const std::string& value) -> std::optional<std::string> {
              for (const std::string& part : split(value, ',')) {
                if (!serve::elastic_from_string(part)) {
@@ -191,6 +220,42 @@ counts, utilization, and energy per request.)");
            "replay a CSV arrival trace (arrival_s[,tenant])\n"
            "instead of Poisson arrivals (see optiplet_tracegen)",
            cli::store_string(grid.serving_defaults.trace_path))
+      .add("--packages", "LIST",
+           "comma list of rack package counts; giving it makes\n"
+           "every scenario a rack and enables the flags below\n"
+           "up to --link-wavelengths (default: one lone package)",
+           cli::append_counts(grid.package_counts, "package count"))
+      .add("--balancers", "LIST",
+           "comma list of rr|least|locality (default locality)",
+           rack_only("--balancers",
+                     cli::append_choices(grid.balancer_policies,
+                                         cluster::balancer_policy_from_string,
+                                         "balancer policy",
+                                         "rr, least, locality")))
+      .add("--replication", "LIST",
+           "comma list of replicas per tenant, each clamped to\n"
+           "the package count (default 1)",
+           rack_only("--replication",
+                     cli::append_counts(grid.replication_factors,
+                                        "replication factor")))
+      .add("--replication-mix", "M",
+           "'+'-joined per-tenant replication factors aligned\n"
+           "with --tenants (e.g. 1+2); overrides --replication",
+           rack_only("--replication-mix",
+                     cli::store_string(
+                         grid.cluster_defaults.replication_mix)))
+      .add("--link-length", "M",
+           "board-level link length between packages [m]\n"
+           "(default 0.25)",
+           rack_only("--link-length",
+                     cli::store_positive_double(
+                         grid.cluster_defaults.link_length_m,
+                         "link length")))
+      .add("--link-wavelengths", "N",
+           "WDM channels per inter-package link (default 16)",
+           rack_only("--link-wavelengths",
+                     cli::store_count(grid.cluster_defaults.link_wavelengths,
+                                      "link wavelength count")))
       .add("--arch", "NAME", "mono|elec|siph (default siph)",
            cli::store_choice(arch, engine::architecture_from_string,
                              "architecture", "mono, elec, siph"))
@@ -205,12 +270,13 @@ counts, utilization, and energy per request.)");
       .add("--trace-out", "FILE",
            "also run the first scenario with request-lifecycle\n"
            "tracing and write a Chrome trace-event / Perfetto\n"
-           "JSON (see docs/observability.md)",
+           "JSON; rack packages map to trace processes (see\n"
+           "docs/observability.md)",
            cli::store_string(trace_out))
       .add("--metrics-out", "FILE",
            "also run the first scenario with metric snapshots\n"
            "and write the long-format time series CSV\n"
-           "(t_s,series,value)",
+           "(t_s,series,value; per-package series prefixed p<i>.)",
            cli::store_string(metrics_out))
       .add("--snapshot-period", "S",
            "sim-time between metric snapshots [s] (default:\n"
@@ -232,17 +298,14 @@ counts, utilization, and energy per request.)");
     return *exit_code;
   }
 
+  if (!rack_flag.empty() && grid.package_counts.empty()) {
+    return options_set.fail(rack_flag +
+                            " shapes a rack: give --packages as well");
+  }
+  const bool rack = grid.cluster_mode();
+
   grid.architectures = {arch};
   grid.tenant_mixes = {join(tenants, "+")};
-  if (grid.arrival_rates_rps.empty()) {
-    grid.arrival_rates_rps = {grid.serving_defaults.arrival_rps};
-  }
-  if (grid.batch_policies.empty()) {
-    grid.batch_policies = {grid.serving_defaults.policy};
-  }
-  if (grid.pipeline_modes.empty()) {
-    grid.pipeline_modes = {grid.serving_defaults.pipeline};
-  }
   if (grid.arrival_sources.empty()) {
     // A --users axis without --sources means closed loop: that is the
     // only source the axis is meaningful for.
@@ -288,9 +351,16 @@ counts, utilization, and energy per request.)");
     return 1;
   }
 
-  util::TextTable table({"Load", "Policy", "Pipe", "Adm", "Fid",
-                         "Thpt (r/s)", "Gput (r/s)", "Shed", "p50 (us)",
-                         "p99 (us)", "SLA viol", "Util", "E/req (mJ)"});
+  std::vector<std::string> header = {"Load", "Policy", "Pipe", "Adm", "Fid",
+                                     "Thpt (r/s)", "Gput (r/s)", "Shed",
+                                     "p50 (us)", "p99 (us)", "SLA viol",
+                                     "Util", "E/req (mJ)"};
+  if (rack) {
+    // Racks append their shape and their inter-package transfer charges.
+    header.insert(header.end(),
+                  {"Pkgs", "Balancer", "Rep", "Xfers", "Xfer E (mJ)"});
+  }
+  util::TextTable table(header);
   for (const auto& r : store.results()) {
     const auto& m = *r.serving;
     const auto& s = *r.spec.serving;
@@ -300,17 +370,25 @@ counts, utilization, and energy per request.)");
         s.source == serve::ArrivalSource::kClosedLoop
             ? std::to_string(s.users) + "u"
             : util::format_fixed(s.arrival_rps, 0);
-    table.add_row({load, serve::to_string(s.policy),
-                   serve::to_string(s.pipeline),
-                   serve::to_string(s.admission),
-                   core::to_string(r.spec.fidelity),
-                   util::format_fixed(m.throughput_rps, 0),
-                   util::format_fixed(m.goodput_rps, 0),
-                   std::to_string(m.shed), format_us(m.p50_s),
-                   format_us(m.p99_s),
-                   util::format_fixed(m.sla_violation_rate, 3),
-                   util::format_fixed(m.utilization, 3),
-                   util::format_fixed(m.energy_per_request_j * 1e3, 3)});
+    std::vector<std::string> row = {
+        load, serve::to_string(s.policy), serve::to_string(s.pipeline),
+        serve::to_string(s.admission), core::to_string(r.spec.fidelity),
+        util::format_fixed(m.throughput_rps, 0),
+        util::format_fixed(m.goodput_rps, 0), std::to_string(m.shed),
+        format_us(m.p50_s), format_us(m.p99_s),
+        util::format_fixed(m.sla_violation_rate, 3),
+        util::format_fixed(m.utilization, 3),
+        util::format_fixed(m.energy_per_request_j * 1e3, 3)};
+    if (rack) {
+      const auto& cs = *r.spec.cluster;
+      row.insert(row.end(),
+                 {std::to_string(cs.packages), cluster::to_string(cs.balancer),
+                  cs.replication_mix.empty() ? std::to_string(cs.replication)
+                                             : cs.replication_mix,
+                  std::to_string(r.cluster->transfers),
+                  util::format_fixed(r.cluster->transfer_energy_j * 1e3, 3)});
+    }
+    table.add_row(std::move(row));
   }
   log.result("Serving %s on %s, %zu scenarios (%zu threads)\n\n",
              grid.tenant_mixes.front().c_str(), accel::to_string(arch),
@@ -370,18 +448,25 @@ counts, utilization, and energy per request.)");
     obs::Recorder recorder(recorder_options);
     core::SystemConfig cfg = core::default_system_config();
     spec.apply(cfg);
-    serve::ServingConfig serving_config =
-        serve::make_serving_config(cfg, spec.arch, *spec.serving);
-    serving_config.recorder = &recorder;
-    serve::ServingReport report;
+    std::vector<serve::DayPoint> day_curve;
     try {
-      report = serve::simulate(serving_config);
+      if (spec.cluster) {
+        day_curve = cluster::simulate({cfg, spec.arch, *spec.serving,
+                                       *spec.cluster, /*threads=*/1,
+                                       &recorder})
+                        .day_curve;
+      } else {
+        serve::ServingConfig serving_config =
+            serve::make_serving_config(cfg, spec.arch, *spec.serving);
+        serving_config.recorder = &recorder;
+        day_curve = serve::simulate(serving_config).day_curve;
+      }
     } catch (const std::exception& e) {
       return options_set.fail(std::string("instrumented run failed: ") +
                               e.what());
     }
     if (!curve_out.empty()) {
-      if (report.day_curve.empty()) {
+      if (day_curve.empty()) {
         log.info("Warning: no day curve recorded — the elastic policy "
                  "needs bucket=<s> (see --elastics)\n");
       }
@@ -391,7 +476,7 @@ counts, utilization, and energy per request.)");
       if (!csv.ok()) {
         return options_set.fail("cannot write " + curve_out);
       }
-      for (const serve::DayPoint& point : report.day_curve) {
+      for (const serve::DayPoint& point : day_curve) {
         csv.add_row({util::format_general(point.t0_s),
                      util::format_general(point.dt_s),
                      std::to_string(point.offered),
@@ -401,7 +486,7 @@ counts, utilization, and energy per request.)");
                      util::format_general(point.carbon_g)});
       }
       log.result("Day curve of %s (%zu buckets) written to %s\n",
-                 spec.key().c_str(), report.day_curve.size(),
+                 spec.key().c_str(), day_curve.size(),
                  curve_out.c_str());
     }
     if (!trace_out.empty()) {
