@@ -27,9 +27,10 @@ struct PackageBreakdown {
 
 /// The compact rack summary the sweep engine and CSVs carry.
 struct ClusterMetrics {
-  /// Merged rack-level serving metrics. Percentiles and goodput are exact:
-  /// they are recomputed from the pooled per-tenant latency samples, not
-  /// averaged across packages.
+  /// Merged rack-level serving metrics. Percentiles, TTFT, goodput and
+  /// decode_tps are exact: the report fold recomputes them from the pooled
+  /// per-tenant samples and token counts over the rack makespan, not by
+  /// combining package figures.
   serve::ServingMetrics rack;
   std::size_t packages = 0;
   /// Inter-package request/response transfers (pairs count once).

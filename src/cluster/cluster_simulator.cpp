@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -326,13 +327,11 @@ ClusterReport simulate(const ClusterConfig& config) {
   serve::ServingMetrics& rack = metrics.rack;
   double first_arrival = std::numeric_limits<double>::infinity();
   double last_completion = 0.0;
-  std::uint64_t batches = 0;
-  std::uint64_t violations = 0;
-  std::vector<double> all_latencies;
-  std::map<unsigned, std::vector<double>> class_latencies;
-  double util_sum = 0.0;
-  metrics.util_min = std::numeric_limits<double>::infinity();
-  metrics.util_max = 0.0;
+  // The rack fold's input: every package's tenants, package-then-tenant.
+  std::vector<serve::TenantSamples> samples;
+  // Idle packages count as utilization 0: the rack figures are honest
+  // about unused capacity.
+  std::vector<double> utilization(packages, 0.0);
 
   for (std::size_t p = 0; p < packages; ++p) {
     PackageBreakdown& breakdown = out.packages[p];
@@ -343,74 +342,32 @@ ClusterReport simulate(const ClusterConfig& config) {
                                       ? whole.tenants[t].model
                                       : whole.tenants[t].name);
     }
-    double utilization = 0.0;
     if (futures[p]) {
       breakdown.report = futures[p]->get();
       breakdown.active = true;
       const serve::ServingMetrics& pm = breakdown.report.metrics;
-      rack.offered += pm.offered;
-      rack.completed += pm.completed;
-      rack.shed += pm.shed;
-      rack.energy_j += pm.energy_j;
-      rack.resipi_conflicts += pm.resipi_conflicts;
-      rack.resipi_wait_s += pm.resipi_wait_s;
-      rack.shared_handoffs += pm.shared_handoffs;
-      rack.handoff_resipi_s += pm.handoff_resipi_s;
-      rack.service_cache_hits += pm.service_cache_hits;
-      rack.service_cache_misses += pm.service_cache_misses;
-      rack.sim_events += pm.sim_events;
-      rack.sim_event_queue_peak =
-          std::max(rack.sim_event_queue_peak, pm.sim_event_queue_peak);
-      // Token-level rack view: generated throughput sums across packages;
-      // KV peak and TTFT p99 take the worst package (raw TTFT samples are
-      // not exported, so the pooled quantile is approximated by the max —
-      // exact for a 1-package rack).
-      rack.decode_tps += pm.decode_tps;
-      rack.kv_peak_bytes = std::max(rack.kv_peak_bytes, pm.kv_peak_bytes);
-      rack.ttft_p99_s = std::max(rack.ttft_p99_s, pm.ttft_p99_s);
-      // Elastic counters sum across packages (each package runs its own
-      // policy instance on its own pool).
-      rack.abandoned += pm.abandoned;
-      rack.retries += pm.retries;
-      rack.repartitions += pm.repartitions;
-      rack.repartition_resipi_s += pm.repartition_resipi_s;
-      rack.gate_events += pm.gate_events;
-      rack.gated_idle_s += pm.gated_idle_s;
-      rack.faults_injected += pm.faults_injected;
-      rack.carbon_g += pm.carbon_g;
+      serve::add_counters(rack, pm);  // rack energy = sum of package energies
       // Merge the package's day curve pointwise: buckets are indexed on
       // absolute time with a common width, so package curves align.
       const auto& curve = breakdown.report.day_curve;
-      if (out.day_curve.size() < curve.size()) {
-        const std::size_t old_size = out.day_curve.size();
-        out.day_curve.resize(curve.size());
-        for (std::size_t b = old_size; b < curve.size(); ++b) {
-          out.day_curve[b].t0_s = curve[b].t0_s;
-          out.day_curve[b].dt_s = curve[b].dt_s;
-        }
-      }
       for (std::size_t b = 0; b < curve.size(); ++b) {
+        if (b == out.day_curve.size()) {
+          out.day_curve.push_back({curve[b].t0_s, curve[b].dt_s});
+        }
         out.day_curve[b].offered += curve[b].offered;
         out.day_curve[b].completed += curve[b].completed;
         out.day_curve[b].energy_j += curve[b].energy_j;
         out.day_curve[b].carbon_g += curve[b].carbon_g;
       }
-      utilization = pm.utilization;
+      utilization[p] = pm.utilization;
       if (pm.offered > 0) {
         first_arrival = std::min(first_arrival, pm.first_arrival_abs_s);
         last_completion = std::max(last_completion, pm.last_completion_abs_s);
       }
       for (std::size_t i = 0; i < breakdown.report.tenants.size(); ++i) {
         const serve::TenantReport& tenant = breakdown.report.tenants[i];
-        batches += tenant.batches;
-        const auto& latencies = breakdown.report.tenant_latencies[i];
-        all_latencies.insert(all_latencies.end(), latencies.begin(),
-                             latencies.end());
-        auto& cls = class_latencies[tenant.priority];
-        cls.insert(cls.end(), latencies.begin(), latencies.end());
-        for (const double latency : latencies) {
-          violations += latency > tenant.sla_s ? 1 : 0;
-        }
+        samples.push_back({tenant, breakdown.report.tenant_latencies[i],
+                           breakdown.report.tenant_ttfts[i]});
         if (closed) {
           // Users pinned off their ingress port pay the link per
           // completed request; charged as the user-share expectation.
@@ -425,9 +382,6 @@ ClusterReport simulate(const ClusterConfig& config) {
         }
       }
     }
-    util_sum += utilization;
-    metrics.util_min = std::min(metrics.util_min, utilization);
-    metrics.util_max = std::max(metrics.util_max, utilization);
   }
 
   if (rec != nullptr) {
@@ -455,49 +409,15 @@ ClusterReport simulate(const ClusterConfig& config) {
   // front end has no time-resolved link schedule to price diurnally.
   rack.carbon_g +=
       metrics.transfer_energy_j / 3.6e6 * whole.elastic.carbon_base_gpkwh;
-  for (serve::DayPoint& point : out.day_curve) {
-    if (point.completed > 0) {
-      point.energy_per_request_j =
-          point.energy_j / static_cast<double>(point.completed);
-    }
-  }
-  if (!all_latencies.empty()) {
-    double sum = 0.0;
-    for (const double latency : all_latencies) {
-      sum += latency;
-      rack.max_latency_s = std::max(rack.max_latency_s, latency);
-    }
-    rack.mean_latency_s = sum / static_cast<double>(all_latencies.size());
-    rack.p50_s = serve::exact_quantile(all_latencies, 0.50);
-    rack.p95_s = serve::exact_quantile(all_latencies, 0.95);
-    rack.p99_s = serve::exact_quantile(all_latencies, 0.99);
-    rack.sla_violation_rate = static_cast<double>(violations) /
-                              static_cast<double>(all_latencies.size());
-  }
-  if (!class_latencies.empty()) {
-    rack.p99_hi_s =
-        serve::exact_quantile(class_latencies.begin()->second, 0.99);
-    rack.p99_lo_s =
-        serve::exact_quantile(class_latencies.rbegin()->second, 0.99);
-  }
-  if (rack.makespan_s > 0.0) {
-    rack.throughput_rps =
-        static_cast<double>(rack.completed) / rack.makespan_s;
-    rack.goodput_rps =
-        static_cast<double>(rack.completed - violations) / rack.makespan_s;
-  }
-  if (rack.completed > 0) {
-    rack.energy_per_request_j =
-        rack.energy_j / static_cast<double>(rack.completed);
-    rack.mean_batch = static_cast<double>(rack.completed) /
-                      static_cast<double>(std::max<std::uint64_t>(batches, 1));
-  }
-  // Idle packages count as utilization 0 — the rack average is honest
-  // about unused capacity.
-  rack.utilization = util_sum / static_cast<double>(packages);
-  if (!std::isfinite(metrics.util_min)) {
-    metrics.util_min = 0.0;
-  }
+  serve::finish_day_curve(out.day_curve);
+  serve::fold_report(rack, samples);
+  rack.utilization =
+      std::accumulate(utilization.begin(), utilization.end(), 0.0) /
+      static_cast<double>(packages);
+  const auto [lo, hi] =
+      std::minmax_element(utilization.begin(), utilization.end());
+  metrics.util_min = *lo;
+  metrics.util_max = *hi;
   return out;
 }
 

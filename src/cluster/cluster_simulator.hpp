@@ -13,8 +13,8 @@
 /// serving package, and both hops accrue into the rack's transfer
 /// latency/energy totals. The per-package simulators then run in parallel
 /// on `engine::ThreadPool` (one package per worker) and their reports
-/// merge into a `ClusterReport` — percentiles and goodput recomputed from
-/// the pooled latency samples, so a 1-package rack reproduces the lone
+/// merge into a `ClusterReport` through the lone simulator's report fold
+/// over every package's tenants, so a 1-package rack reproduces the lone
 /// simulator bit for bit.
 
 #include <cstddef>

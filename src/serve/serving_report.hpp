@@ -2,9 +2,11 @@
 /// \file serving_report.hpp
 /// Result types of a serving simulation: per-tenant and aggregate
 /// tail-latency/throughput/energy metrics, plus the optional per-batch
-/// execution trace the co-location invariant tests consume.
+/// execution trace the co-location invariant tests consume — and the report
+/// fold deriving every tenant, class, run and rack aggregate from them.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,7 +75,8 @@ struct ServingMetrics {
   /// p99 time-to-first-token: arrival to the end of the request's prefill
   /// phase, pooled across tenants.
   double ttft_p99_s = 0.0;
-  /// Generated tokens per second of makespan, summed over tenants.
+  /// Generated tokens per second of makespan: each tenant's tokens over
+  /// this level's makespan, summed in tenant order (racks: all packages).
   double decode_tps = 0.0;
   /// Peak KV-cache bytes reserved by any single tenant (each request
   /// reserves its final-context footprint while in flight); always <=
@@ -155,6 +158,8 @@ struct TenantReport {
   double ttft_p99_s = 0.0;
   double decode_tps = 0.0;
   std::uint64_t kv_peak_bytes = 0;
+  /// Generated (decode) tokens over the run: the count behind decode_tps.
+  std::uint64_t decode_tokens = 0;
   /// Elastic operation (all zero when the policy is inert).
   std::uint64_t abandoned = 0;
   std::uint64_t retries = 0;
@@ -216,6 +221,9 @@ struct ServingReport {
   /// — the samples behind the percentile metrics, exported so rack-level
   /// reports can pool them and recompute exact quantiles.
   std::vector<std::vector<double>> tenant_latencies;
+  /// Raw times to first token per tenant, parallel to tenant_latencies
+  /// (empty for fixed-shape tenants).
+  std::vector<std::vector<double>> tenant_ttfts;
   /// Per-batch execution trace; empty unless record_batches was set.
   std::vector<BatchTrace> batches;
   /// Energy-per-request / carbon day curve; empty unless the elastic spec
@@ -229,5 +237,33 @@ struct ServingReport {
 /// Exact nearest-rank quantile of `values` (copied and sorted internally);
 /// q in (0, 1]. Returns 0 for an empty sample.
 [[nodiscard]] double exact_quantile(std::vector<double> values, double q);
+
+/// One tenant's input to the report fold: its counters and its raw samples.
+struct TenantSamples {
+  const TenantReport& report;
+  std::span<const double> latencies;  ///< completion latencies
+  std::span<const double> ttfts;      ///< times to first token
+};
+
+/// Adds a tenant's counters into its run, or a package's into its rack.
+/// Floating sums follow call order; peaks take the max.
+void add_counters(ServingMetrics& into, const TenantReport& tenant);
+void add_counters(ServingMetrics& into, const ServingMetrics& package);
+
+/// The report fold over one run or rack: pools `tenants` (in order) over
+/// `m.makespan_s` into every sample-derived field of `m` (latency stats,
+/// violation rate, rates, per-request figures, p99_hi/lo, ttft_p99) and
+/// returns the per-priority-class reports, ascending. `m.completed` and
+/// `m.energy_j` must already hold the level's totals (see add_counters).
+std::vector<ClassReport> fold_report(ServingMetrics& m,
+                                     std::span<const TenantSamples> tenants);
+
+/// The same fold over one tenant: derives `r`'s figures from its counters
+/// and samples over `makespan_s`, plus its executor utilization.
+void finish_tenant(TenantReport& r, std::span<const double> latencies,
+                   std::span<const double> ttfts, double makespan_s);
+
+/// Energy per request of every day-curve bucket (0 for empty buckets).
+void finish_day_curve(std::vector<DayPoint>& curve);
 
 }  // namespace optiplet::serve

@@ -151,8 +151,6 @@ struct TenantState {
   /// budget bound is enforced on this reservation, so actual occupancy
   /// (which only grows token by token) can never exceed it.
   std::uint64_t kv_reserved_bytes = 0;
-  std::uint64_t kv_peak_bytes = 0;
-  std::uint64_t decode_tokens_done = 0;
   std::vector<double> ttfts;  ///< arrival -> prefill end, per request
   /// Memoized mean-shape batch service time by batch size (admission).
   std::map<unsigned, double> nominal_cache;
@@ -357,7 +355,8 @@ struct Engine {
     if (reserve) {
       ts.kv_reserved_bytes += bytes;
       kv_total_bytes += bytes;
-      ts.kv_peak_bytes = std::max(ts.kv_peak_bytes, ts.kv_reserved_bytes);
+      ts.report.kv_peak_bytes =
+          std::max(ts.report.kv_peak_bytes, ts.kv_reserved_bytes);
     } else {
       OPTIPLET_ASSERT(ts.kv_reserved_bytes >= bytes && kv_total_bytes >= bytes,
                       "KV release exceeds the outstanding reservation");
@@ -634,13 +633,9 @@ struct Engine {
     OPTIPLET_REQUIRE(idx < (std::size_t{1} << 22),
                      "day-curve bucket index exploded (curve_bucket_s is "
                      "too small for the trace span)");
-    if (report.day_curve.size() <= idx) {
-      const std::size_t old_size = report.day_curve.size();
-      report.day_curve.resize(idx + 1);
-      for (std::size_t i = old_size; i < report.day_curve.size(); ++i) {
-        report.day_curve[i].t0_s = static_cast<double>(i) * bucket_s;
-        report.day_curve[i].dt_s = bucket_s;
-      }
+    while (report.day_curve.size() <= idx) {
+      report.day_curve.push_back(
+          {static_cast<double>(report.day_curve.size()) * bucket_s, bucket_s});
     }
     return &report.day_curve[idx];
   }
@@ -1251,7 +1246,7 @@ struct Engine {
       std::uint64_t footprint = 0;
       for (const Request& r : batch) {
         footprint += footprint_bytes(ts, r.shape);
-        ts.decode_tokens_done += r.shape.decode_tokens;
+        ts.report.decode_tokens += r.shape.decode_tokens;
       }
       kv_update(t, footprint, false);
     }
@@ -1427,7 +1422,7 @@ struct Engine {
       for (ActiveSeq& seq : ts.active) {
         seq.kv_tokens += 1;
         seq.decode_left -= 1;
-        ts.decode_tokens_done += 1;
+        ts.report.decode_tokens += 1;
       }
     }
     std::vector<Request> done;
@@ -1716,53 +1711,6 @@ ColocationPlan monolithic_plan(const core::SystemConfig& system,
     plan.tenants[t].platform = spec;
   }
   return plan;
-}
-
-void finalize_tenant(TenantState& ts, double makespan_s) {
-  TenantReport& r = ts.report;
-  r.energy_j += ts.energy_accum_j;  // the still-open busy period's fold
-  ts.energy_accum_j = 0.0;
-  if (makespan_s > 0.0) {
-    r.throughput_rps = static_cast<double>(r.completed) / makespan_s;
-    // Layer-granular overlap sums concurrent stage intervals into busy_s,
-    // so the executor's busy fraction saturates at 1 (mirrors the
-    // per-chiplet clamp in the pool metric).
-    r.utilization = std::min(r.busy_s, makespan_s) / makespan_s;
-  }
-  std::uint64_t violations = 0;
-  if (!ts.latencies.empty()) {
-    double sum = 0.0;
-    for (const double l : ts.latencies) {
-      sum += l;
-      r.max_latency_s = std::max(r.max_latency_s, l);
-      violations += l > r.sla_s ? 1 : 0;
-    }
-    r.mean_latency_s = sum / static_cast<double>(ts.latencies.size());
-    r.p50_s = exact_quantile(ts.latencies, 0.50);
-    r.p95_s = exact_quantile(ts.latencies, 0.95);
-    r.p99_s = exact_quantile(ts.latencies, 0.99);
-    r.sla_violation_rate = static_cast<double>(violations) /
-                           static_cast<double>(ts.latencies.size());
-  }
-  if (makespan_s > 0.0) {
-    // Every completion records one latency, so completed - violations is
-    // exactly the SLA-met count.
-    r.goodput_rps =
-        static_cast<double>(r.completed - violations) / makespan_s;
-  }
-  if (r.completed > 0) {
-    r.energy_per_request_j = r.energy_j / static_cast<double>(r.completed);
-    r.mean_batch = static_cast<double>(r.completed) /
-                   static_cast<double>(std::max<std::uint64_t>(r.batches, 1));
-  }
-  if (ts.var_length) {
-    r.ttft_p99_s = exact_quantile(ts.ttfts, 0.99);
-    if (makespan_s > 0.0) {
-      r.decode_tps =
-          static_cast<double>(ts.decode_tokens_done) / makespan_s;
-    }
-    r.kv_peak_bytes = ts.kv_peak_bytes;
-  }
 }
 
 }  // namespace
@@ -2194,93 +2142,21 @@ ServingReport simulate(const ServingConfig& config) {
   m.sim_events = engine.events.processed();
   m.sim_event_queue_peak = engine.events.peak_size();
 
-  std::vector<double> all_latencies;
-  std::vector<double> all_ttfts;
-  std::uint64_t violations = 0;
-  std::uint64_t batches = 0;
-  std::map<unsigned, ClassReport> classes;
-  std::map<unsigned, std::vector<double>> class_latencies;
-  std::map<unsigned, std::uint64_t> class_violations;
-  for (std::size_t t = 0; t < engine.tenants.size(); ++t) {
-    TenantState& ts = engine.tenants[t];
-    finalize_tenant(ts, makespan);
-    m.offered += ts.report.offered;
-    m.completed += ts.report.completed;
-    m.shed += ts.report.shed;
-    m.energy_j += ts.report.energy_j;
-    m.resipi_conflicts += ts.report.resipi_conflicts;
-    m.resipi_wait_s += ts.report.resipi_wait_s;
-    m.shared_handoffs += ts.report.shared_handoffs;
-    m.handoff_resipi_s += ts.report.handoff_resipi_s;
-    m.decode_tps += ts.report.decode_tps;
-    m.kv_peak_bytes = std::max(m.kv_peak_bytes, ts.report.kv_peak_bytes);
-    m.abandoned += ts.report.abandoned;
-    m.retries += ts.report.retries;
-    m.gate_events += ts.report.gate_events;
-    m.gated_idle_s += ts.report.gated_idle_s;
-    all_ttfts.insert(all_ttfts.end(), ts.ttfts.begin(), ts.ttfts.end());
-    batches += ts.report.batches;
-    ClassReport& cls = classes[ts.priority];
-    cls.priority = ts.priority;
-    cls.offered += ts.report.offered;
-    cls.completed += ts.report.completed;
-    cls.shed += ts.report.shed;
-    cls.abandoned += ts.report.abandoned;
-    std::vector<double>& cls_lat = class_latencies[ts.priority];
-    cls_lat.insert(cls_lat.end(), ts.latencies.begin(), ts.latencies.end());
-    for (const double l : ts.latencies) {
-      const std::uint64_t violated = l > ts.report.sla_s ? 1 : 0;
-      violations += violated;
-      class_violations[ts.priority] += violated;
-    }
-    all_latencies.insert(all_latencies.end(), ts.latencies.begin(),
-                         ts.latencies.end());
-    out.tenants.push_back(ts.report);
+  for (TenantState& ts : engine.tenants) {
+    TenantReport& r = ts.report;
+    r.energy_j += ts.energy_accum_j;  // the still-open busy period's fold
+    finish_tenant(r, ts.latencies, ts.ttfts, makespan);
+    add_counters(m, r);
+    out.tenants.push_back(std::move(r));
     out.tenant_latencies.push_back(std::move(ts.latencies));
+    out.tenant_ttfts.push_back(std::move(ts.ttfts));
   }
   // Every offered request is completed, shed outright, or abandoned after
   // its capped retry budget — the drain identity the property tests pin.
   OPTIPLET_ASSERT(
       m.offered == m.completed + m.shed + m.abandoned,
       "serving lost requests: offered != completed + shed + abandoned");
-  for (auto& [priority, cls] : classes) {
-    const std::vector<double>& lat = class_latencies[priority];
-    if (!lat.empty()) {
-      cls.p99_s = exact_quantile(lat, 0.99);
-      cls.sla_violation_rate =
-          static_cast<double>(class_violations[priority]) /
-          static_cast<double>(lat.size());
-    }
-    if (makespan > 0.0) {
-      cls.goodput_rps = static_cast<double>(cls.completed -
-                                            class_violations[priority]) /
-                        makespan;
-    }
-    out.classes.push_back(cls);  // std::map iterates classes ascending
-  }
-  if (!out.classes.empty()) {
-    m.p99_hi_s = out.classes.front().p99_s;
-    m.p99_lo_s = out.classes.back().p99_s;
-  }
-  if (!all_latencies.empty()) {
-    double sum = 0.0;
-    for (const double l : all_latencies) {
-      sum += l;
-      m.max_latency_s = std::max(m.max_latency_s, l);
-    }
-    m.mean_latency_s = sum / static_cast<double>(all_latencies.size());
-    m.p50_s = exact_quantile(all_latencies, 0.50);
-    m.p95_s = exact_quantile(all_latencies, 0.95);
-    m.p99_s = exact_quantile(all_latencies, 0.99);
-    m.sla_violation_rate = static_cast<double>(violations) /
-                           static_cast<double>(all_latencies.size());
-  }
-  if (!all_ttfts.empty()) {
-    m.ttft_p99_s = exact_quantile(std::move(all_ttfts), 0.99);
-  }
   if (makespan > 0.0) {
-    m.throughput_rps = static_cast<double>(m.completed) / makespan;
-    m.goodput_rps = static_cast<double>(m.completed - violations) / makespan;
     // Idle static burn of the whole pool between batches.
     double busy_fraction_sum = 0.0;
     for (std::size_t c = 0; c < out.chiplet_busy_s.size(); ++c) {
@@ -2310,11 +2186,12 @@ ServingReport simulate(const ServingConfig& config) {
   if (idle_it != out.ledger.entries().end()) {
     m.energy_j += idle_it->second.dynamic_energy_j;
   }
-  if (m.completed > 0) {
-    m.energy_per_request_j = m.energy_j / static_cast<double>(m.completed);
-    m.mean_batch = static_cast<double>(m.completed) /
-                   static_cast<double>(std::max<std::uint64_t>(batches, 1));
+  std::vector<TenantSamples> samples;
+  for (std::size_t t = 0; t < out.tenants.size(); ++t) {
+    samples.push_back(
+        {out.tenants[t], out.tenant_latencies[t], out.tenant_ttfts[t]});
   }
+  out.classes = fold_report(m, samples);
   // Carbon proxy: total energy priced at the grid intensity [g CO2/kWh],
   // optionally sinusoidal over the diurnal period (J -> kWh is / 3.6e6).
   const auto intensity_gpkwh = [&config](double t) {
@@ -2342,14 +2219,11 @@ ServingReport simulate(const ServingConfig& config) {
       if (window_s > 0.0 && hi > lo) {
         p.energy_j += idle_j * (hi - lo) / window_s;
       }
-      if (p.completed > 0) {
-        p.energy_per_request_j =
-            p.energy_j / static_cast<double>(p.completed);
-      }
       p.carbon_g =
           p.energy_j / 3.6e6 * intensity_gpkwh(p.t0_s + 0.5 * p.dt_s);
       m.carbon_g += p.carbon_g;
     }
+    finish_day_curve(out.day_curve);
   } else {
     // No curve: price the whole run flat at the base intensity.
     m.carbon_g = m.energy_j / 3.6e6 * config.elastic.carbon_base_gpkwh;

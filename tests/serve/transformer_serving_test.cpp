@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cluster/cluster_simulator.hpp"
 #include "dnn/transformer.hpp"
@@ -214,6 +215,38 @@ TEST(TransformerServing, SinglePackageRackReproducesLoneSimulator) {
   EXPECT_EQ(rack.metrics.rack.ttft_p99_s, lone.metrics.ttft_p99_s);
   EXPECT_EQ(rack.metrics.rack.decode_tps, lone.metrics.decode_tps);
   EXPECT_EQ(rack.metrics.rack.kv_peak_bytes, lone.metrics.kv_peak_bytes);
+}
+
+TEST(TransformerServing, RackTokenMetricsPoolEveryPackage) {
+  // The rack's TTFT tail is the exact quantile of every package's pooled
+  // samples, and its token rate is generated tokens over the rack makespan.
+  ServingSpec spec =
+      transformer_spec(64, 16, BatchPolicy::kContinuous, 40.0, 400);
+  spec.token_spread = 0.0;
+  cluster::ClusterConfig rack_config;
+  rack_config.system = core::default_system_config();
+  rack_config.serving = spec;
+  rack_config.cluster.packages = 4;
+  rack_config.cluster.replication = 4;
+  rack_config.threads = 1;
+  const auto report = cluster::simulate(rack_config);
+  const ServingMetrics& rack = report.metrics.rack;
+  ASSERT_EQ(rack.completed, 400u);
+
+  std::vector<double> ttfts;
+  for (const auto& package : report.packages) {
+    ASSERT_TRUE(package.active);
+    for (const auto& samples : package.report.tenant_ttfts) {
+      ttfts.insert(ttfts.end(), samples.begin(), samples.end());
+    }
+  }
+  ASSERT_EQ(ttfts.size(), rack.completed);
+  EXPECT_EQ(rack.ttft_p99_s, exact_quantile(ttfts, 0.99));
+
+  // Spread 0: every request generates exactly 16 tokens.
+  const double expected =
+      16.0 * static_cast<double>(rack.completed) / rack.makespan_s;
+  EXPECT_NEAR(rack.decode_tps, expected, 1e-12 * expected);
 }
 
 TEST(TransformerServing, TokenGeometryValidation) {
