@@ -609,6 +609,10 @@ RunResult SystemSimulator::run_2p5d(const dnn::Model& model,
                                 result.resipi_energy_j);
     result.mean_active_gateways =
         result.latency_s > 0.0 ? gateway_time_weight / result.latency_s : 0.0;
+    if (net) {
+      result.noc_busy_cycles = net->stats().busy_cycles;
+      result.noc_stepped_cycles = net->stats().stepped_cycles;
+    }
   }
   if (sampled_siph) {
     result.correction_factor = comm_correction();

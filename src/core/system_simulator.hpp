@@ -71,6 +71,14 @@ struct RunResult {
   double resipi_energy_j = 0.0;
   double mean_active_gateways = 0.0;  ///< time-weighted, across all chiplets
 
+  /// Photonic cycle-net work (SiPh layers simulated at cycle fidelity; 0
+  /// otherwise): gateway cycles advanced with traffic in flight, and the
+  /// full evaluate/commit passes they took — the rest the net skipped
+  /// ahead through. Busy cycles are simulated work, independent of how
+  /// the net steps; stepped cycles are host work.
+  std::uint64_t noc_busy_cycles = 0;
+  std::uint64_t noc_stepped_cycles = 0;
+
   /// Sampled-fidelity stitching telemetry (Fidelity::kSampled on the SiPh
   /// architecture only; defaults otherwise). The correction factor is the
   /// ratio-of-sums of sampled cycle-vs-analytical communication times — a

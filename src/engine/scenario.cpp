@@ -5,6 +5,7 @@
 #include <functional>
 #include <sstream>
 
+#include "dnn/registry.hpp"
 #include "dnn/zoo.hpp"
 #include "noc/photonic_interposer.hpp"
 #include "util/require.hpp"
@@ -268,7 +269,8 @@ std::vector<ScenarioSpec> ScenarioGrid::expand(
   for (const auto& name : model_axis) {
     for (const auto& component :
          serving ? serve::split_mix(name) : std::vector<std::string>{name}) {
-      (void)dnn::zoo::by_name(component);  // fail fast on unknown models
+      // Fail fast on unknown models without building the known ones.
+      (void)dnn::ModelRegistry::instance().at(component);
     }
   }
   const std::vector<double> rate_axis =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/recorder.hpp"
 #include "util/require.hpp"
@@ -24,6 +25,49 @@ std::uint64_t cycles_for(double seconds, double clock_hz) {
 /// Serialization progress below this many bits counts as done (guards the
 /// floating-point remainder of fractional bits-per-cycle rates).
 constexpr double kRemainderTolerance = 1e-6;
+
+/// True when `remaining - k * rate` is exact for every k the transfer
+/// lives through: integer-valued doubles below 2^53 subtract without
+/// rounding, so one multiply-subtract equals k per-cycle subtractions.
+bool exact_progress(double remaining, double rate) {
+  constexpr double kExactLimit = 9007199254740992.0;  // 2^53
+  return rate == std::floor(rate) && remaining == std::floor(remaining) &&
+         remaining < kExactLimit && rate < kExactLimit;
+}
+
+/// Cycles until a transfer with `remaining` bits left retires while
+/// serializing `rate` bits per cycle (the cycle whose subtraction lands at
+/// or below the tolerance), or `limit` when that is later.
+std::uint64_t cycles_to_retire(double remaining, double rate,
+                               std::uint64_t limit) {
+  if (rate <= 0.0) {
+    return limit;
+  }
+  if (exact_progress(remaining, rate)) {
+    const auto bits = static_cast<std::uint64_t>(remaining);
+    const auto per_cycle = static_cast<std::uint64_t>(rate);
+    return std::min(limit, (bits + per_cycle - 1) / per_cycle);
+  }
+  for (std::uint64_t k = 1; k <= limit; ++k) {
+    remaining -= rate;
+    if (remaining <= kRemainderTolerance) {
+      return k;
+    }
+  }
+  return limit;
+}
+
+/// `remaining` after `cycles` per-cycle subtractions of `rate`, bit for
+/// bit (a scalar replay when the values are not exact integers).
+double drain_bits(double remaining, double rate, std::uint64_t cycles) {
+  if (exact_progress(remaining, rate)) {
+    return remaining - static_cast<double>(cycles) * rate;
+  }
+  for (std::uint64_t k = 0; k < cycles; ++k) {
+    remaining -= rate;
+  }
+  return remaining;
+}
 
 }  // namespace
 
@@ -82,6 +126,22 @@ std::size_t PhotonicCycleNet::reader_capacity(std::size_t chiplet) const {
 bool PhotonicCycleNet::stalled(std::size_t chiplet) const {
   OPTIPLET_REQUIRE(chiplet < chiplets_.size(), "chiplet index out of range");
   return chiplets_[chiplet].stall_until_cycle > now_;
+}
+
+bool PhotonicCycleNet::paused(const ReadTransfer& t) const {
+  return std::any_of(t.targets.begin(), t.targets.end(),
+                     [this](std::size_t c) { return stalled(c); });
+}
+
+double PhotonicCycleNet::read_rate(const ReadTransfer& t) const {
+  return static_cast<double>(t.channels) * bits_per_cycle_per_channel_;
+}
+
+double PhotonicCycleNet::write_rate(std::size_t chiplet) const {
+  // The dedicated return waveguide serializes at the chiplet's currently
+  // active modulator bandwidth; activation changes apply per cycle.
+  return static_cast<double>(reader_capacity(chiplet)) *
+         bits_per_cycle_per_channel_;
 }
 
 std::uint64_t PhotonicCycleNet::inject_read(std::size_t chiplet,
@@ -158,14 +218,10 @@ void PhotonicCycleNet::evaluate_broadcast() {
     if (!t.granted) {
       continue;
     }
-    const bool paused = std::any_of(
-        t.targets.begin(), t.targets.end(),
-        [this](std::size_t c) { return stalled(c); });
-    if (paused) {
+    if (paused(t)) {
       continue;
     }
-    t.remaining_bits -= static_cast<double>(t.channels) *
-                        bits_per_cycle_per_channel_;
+    t.remaining_bits -= read_rate(t);
     if (t.remaining_bits <= kRemainderTolerance) {
       retired_read_slots_.push_back(i);
     }
@@ -251,10 +307,7 @@ void PhotonicCycleNet::evaluate_returns() {
     if (now_ <= head.eligible_cycle) {
       continue;
     }
-    // The dedicated return waveguide serializes at the chiplet's currently
-    // active modulator bandwidth; activation changes apply per cycle.
-    head.remaining_bits -= static_cast<double>(reader_capacity(c)) *
-                           bits_per_cycle_per_channel_;
+    head.remaining_bits -= write_rate(c);
     if (head.remaining_bits <= kRemainderTolerance) {
       retired_write_chiplets_.push_back(c);
     }
@@ -332,6 +385,8 @@ void PhotonicCycleNet::run_epoch_boundary(std::uint64_t boundary_cycle) {
 void PhotonicCycleNet::step() {
   engine_.step();
   ++now_;
+  ++stats_.busy_cycles;
+  ++stats_.stepped_cycles;
 }
 
 bool PhotonicCycleNet::drained() const {
@@ -348,11 +403,101 @@ bool PhotonicCycleNet::drained() const {
 
 bool PhotonicCycleNet::run_until_drained(std::uint64_t max_cycles) {
   std::uint64_t n = 0;
+  // The last step granted nothing, retired nothing and crossed no epoch
+  // boundary: until the next event, every step would do the same.
+  bool quiet = false;
   while (n < max_cycles && !drained()) {
+    if (quiet) {
+      const std::uint64_t h = quiet_horizon(max_cycles - n);
+      fold_quiet(h);
+      n += h;
+      if (n == max_cycles) {
+        break;
+      }
+    }
+    const std::uint64_t epochs = stats_.epochs;
     step();
     ++n;
+    quiet = granted_read_slots_.empty() && retired_read_slots_.empty() &&
+            retired_write_chiplets_.empty() && stats_.epochs == epochs;
   }
   return drained();
+}
+
+std::uint64_t PhotonicCycleNet::quiet_horizon(std::uint64_t limit) const {
+  // Each event below is the first cycle whose step could differ from the
+  // quiet one before it; the horizon is the gap to the earliest.
+  std::uint64_t h = limit;
+  const auto until = [&](std::uint64_t event_cycle) {
+    if (event_cycle >= now_) {
+      h = std::min(h, event_cycle - now_);
+    }
+  };
+  // A progressing transfer stays quiet up to the cycle it retires in.
+  const auto until_retired = [&](double remaining, double rate) {
+    if (h > 0) {
+      const std::uint64_t cap =
+          h < std::numeric_limits<std::uint64_t>::max() ? h + 1 : h;
+      h = std::min(h, cycles_to_retire(remaining, rate, cap) - 1);
+    }
+  };
+  if (config_.resipi_enabled) {
+    until((now_ / epoch_cycles_ + 1) * epoch_cycles_ - 1);  // epoch commit
+  }
+  for (std::size_t c = 0; c < chiplets_.size(); ++c) {
+    const ChipletState& state = chiplets_[c];
+    until(state.stall_until_cycle);  // gateways relight
+    if (!state.write_queue.empty()) {
+      const WriteTransfer& head = state.write_queue.front();
+      until(head.eligible_cycle + 1);  // serialization starts
+      if (!stalled(c) && now_ > head.eligible_cycle) {
+        until_retired(head.remaining_bits, write_rate(c));
+      }
+    }
+  }
+  for (const ReadTransfer& t : reads_) {
+    if (!t.granted) {
+      until(t.eligible_cycle);  // grant arbitration sees it
+    } else if (!paused(t)) {
+      until_retired(t.remaining_bits, read_rate(t));
+    }
+  }
+  return h;
+}
+
+void PhotonicCycleNet::fold_quiet(std::uint64_t cycles) {
+  for (ReadTransfer& t : reads_) {
+    if (t.granted && !paused(t)) {
+      t.remaining_bits = drain_bits(t.remaining_bits, read_rate(t), cycles);
+    }
+  }
+  for (std::size_t c = 0; c < chiplets_.size(); ++c) {
+    ChipletState& state = chiplets_[c];
+    if (!state.write_queue.empty() && !stalled(c) &&
+        now_ > state.write_queue.front().eligible_cycle) {
+      WriteTransfer& head = state.write_queue.front();
+      head.remaining_bits = drain_bits(head.remaining_bits, write_rate(c),
+                                       cycles);
+    }
+  }
+  charge_span(now_ + cycles);
+  now_ += cycles;
+  stats_.busy_cycles += cycles;
+}
+
+void PhotonicCycleNet::charge_span(std::uint64_t end) {
+  std::uint64_t active = 0;
+  std::uint64_t stall_until_max = 0;
+  for (std::size_t c = 0; c < chiplets_.size(); ++c) {
+    active += active_gateways(c);
+    stall_until_max = std::max(stall_until_max, chiplets_[c].stall_until_cycle);
+  }
+  gateway_cycle_weight_ += active * (end - now_);
+  // Activation only changes at epoch commits, and every live stall window
+  // started at or before now_: the stalled part of the span is its prefix.
+  if (stall_until_max > now_) {
+    stats_.stall_cycles += std::min(end, stall_until_max) - now_;
+  }
 }
 
 void PhotonicCycleNet::advance_idle(std::uint64_t cycles) {
@@ -365,19 +510,8 @@ void PhotonicCycleNet::advance_idle(std::uint64_t cycles) {
           (now_ / epoch_cycles_ + 1) * epoch_cycles_;
       next = std::min(next, boundary);
     }
-    std::uint64_t active = 0;
-    std::uint64_t stall_until_max = 0;
-    for (std::size_t c = 0; c < chiplets_.size(); ++c) {
-      active += active_gateways(c);
-      stall_until_max =
-          std::max(stall_until_max, chiplets_[c].stall_until_cycle);
-    }
-    gateway_cycle_weight_ += active * (next - now_);
-    // Chunks run boundary to boundary, so every live stall window started
-    // at or before now_: the stalled span inside this chunk is contiguous.
-    if (stall_until_max > now_) {
-      stats_.stall_cycles += std::min(next, stall_until_max) - now_;
-    }
+    // Chunks run boundary to boundary, so activation is constant inside.
+    charge_span(next);
     now_ = next;
     if (config_.resipi_enabled && now_ % epoch_cycles_ == 0) {
       run_epoch_boundary(now_);

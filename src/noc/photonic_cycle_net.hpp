@@ -26,6 +26,24 @@
 /// Determinism: no randomness, fixed iteration orders, and the two-phase
 /// evaluate/commit contract — results are bit-identical for any component
 /// registration order and across SweepRunner thread counts.
+///
+/// Busy-period skip-ahead (Sniper's event horizon): run_until_drained()
+/// steps a cycle only when something can happen in it. After a step that
+/// granted nothing, retired nothing and crossed no epoch boundary, the
+/// next step can only differ at the earliest of
+///   * the next epoch commit,
+///   * a stall end (every stall_until_cycle >= now),
+///   * a waiting read's eligible_cycle,
+///   * a write head's eligible_cycle + 1 (its turnaround ends),
+///   * a progressing transfer's retirement cycle;
+/// the cycles before it are folded in one pass — h cycles of serialization
+/// off every unpaused transfer, active * h gateway weight, h stall cycles
+/// while stalled — and the event cycle is then step()ped. Serialization
+/// progress is a double: the fold multiplies only when every value is an
+/// exact integer below 2^53 (where r - h*x equals h subtractions) and
+/// replays the subtractions otherwise, so every observable — completed(),
+/// stats(), gateway_cycle_weight(), the controller — is bit-identical to
+/// calling step() until drained().
 
 #include <cstdint>
 #include <vector>
@@ -73,6 +91,12 @@ struct PhotonicCycleNetStats {
   std::uint64_t epochs = 0;
   /// Cycles during which at least one chiplet was stalled on a PCM write.
   std::uint64_t stall_cycles = 0;
+  /// Cycles advanced by step() and run_until_drained() — every cycle but
+  /// the advance_idle()/warm_layer() fast-forwards.
+  std::uint64_t busy_cycles = 0;
+  /// Full evaluate/commit passes; busy_cycles - stepped_cycles is what the
+  /// skip-ahead folded.
+  std::uint64_t stepped_cycles = 0;
 };
 
 /// The cycle-accurate photonic interposer.
@@ -103,6 +127,8 @@ class PhotonicCycleNet {
   [[nodiscard]] bool drained() const;
 
   /// Run until drained or `max_cycles` elapse; returns true when drained.
+  /// Folds quiet stretches (see the file comment): the state it leaves is
+  /// the state `while (!drained()) step();` leaves, bit for bit.
   bool run_until_drained(std::uint64_t max_cycles);
 
   /// Fast-forward `cycles` of traffic-free time (compute phases between
@@ -201,9 +227,23 @@ class PhotonicCycleNet {
   void commit_returns();
   void commit_epoch();
 
+  /// Cycles from now_ the skip-ahead may fold after a quiet step: the gap
+  /// to the earliest event (see the file comment), at most `limit`.
+  [[nodiscard]] std::uint64_t quiet_horizon(std::uint64_t limit) const;
+  /// Advance `cycles` quiet cycles in one pass.
+  void fold_quiet(std::uint64_t cycles);
+  /// Gateway weight and stall cycles of the span [now_, end), over which
+  /// activation is constant; shared by the busy and idle fast-forwards.
+  void charge_span(std::uint64_t end);
+
   void run_epoch_boundary(std::uint64_t boundary_cycle);
   [[nodiscard]] std::size_t reader_capacity(std::size_t chiplet) const;
   [[nodiscard]] std::size_t active_gateways(std::size_t chiplet) const;
+  /// True while a stalled target has `t`'s filter rows dark.
+  [[nodiscard]] bool paused(const ReadTransfer& t) const;
+  /// Bits serialized per cycle by a granted read / a chiplet's write head.
+  [[nodiscard]] double read_rate(const ReadTransfer& t) const;
+  [[nodiscard]] double write_rate(std::size_t chiplet) const;
   void retire(std::uint64_t id, bool is_write, std::uint64_t inject_cycle,
               std::uint64_t bits);
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/system_simulator.hpp"
 #include "dnn/zoo.hpp"
 
@@ -34,6 +36,8 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.resipi_reconfigurations, b.resipi_reconfigurations);
   EXPECT_EQ(a.resipi_energy_j, b.resipi_energy_j);
   EXPECT_EQ(a.mean_active_gateways, b.mean_active_gateways);
+  EXPECT_EQ(a.noc_busy_cycles, b.noc_busy_cycles);
+  EXPECT_EQ(a.noc_stepped_cycles, b.noc_stepped_cycles);
   ASSERT_EQ(a.layers.size(), b.layers.size());
   for (std::size_t i = 0; i < a.layers.size(); ++i) {
     EXPECT_EQ(a.layers[i].read_s, b.layers[i].read_s) << "layer " << i;
@@ -49,28 +53,33 @@ void expect_identical(const RunResult& a, const RunResult& b) {
 TEST(SampledFidelity, ZeroWindowsIsTheAnalyticalRunBitForBit) {
   FidelitySpec none(Fidelity::kSampled);
   none.windows = 0;
-  const auto model = dnn::zoo::make_lenet5();
-  for (const unsigned batch : {1u, 4u}) {
-    const auto sampled = run_with(none, batch, model);
-    const auto analytical =
-        run_with(Fidelity::kAnalytical, batch, model);
-    expect_identical(sampled, analytical);
-    EXPECT_EQ(sampled.sampled_layers, 0u);
-    EXPECT_EQ(sampled.correction_factor, 1.0);
+  for (const dnn::Model& model : dnn::zoo::all_models()) {
+    for (const unsigned batch : {1u, 8u}) {
+      SCOPED_TRACE(model.name() + " batch " + std::to_string(batch));
+      const auto sampled = run_with(none, batch, model);
+      const auto analytical =
+          run_with(Fidelity::kAnalytical, batch, model);
+      expect_identical(sampled, analytical);
+      EXPECT_EQ(sampled.sampled_layers, 0u);
+      EXPECT_EQ(sampled.correction_factor, 1.0);
+    }
   }
 }
 
 TEST(SampledFidelity, AllWindowsIsTheCycleRunBitForBit) {
-  const auto model = dnn::zoo::make_lenet5();
-  FidelitySpec all(Fidelity::kSampled);
-  all.windows = static_cast<unsigned>(model.layers().size());
-  for (const unsigned batch : {1u, 4u}) {
-    const auto sampled = run_with(all, batch, model);
-    const auto cycle = run_with(Fidelity::kCycleAccurate, batch, model);
-    expect_identical(sampled, cycle);
-    // Every *compute* layer is sampled (the simulator walks those, not the
-    // model's pooling/auxiliary layers).
-    EXPECT_EQ(sampled.sampled_layers, sampled.layers.size());
+  for (const dnn::Model& model : dnn::zoo::all_models()) {
+    FidelitySpec all(Fidelity::kSampled);
+    all.windows = static_cast<unsigned>(model.layers().size());
+    for (const unsigned batch : {1u, 8u}) {
+      SCOPED_TRACE(model.name() + " batch " + std::to_string(batch));
+      const auto sampled = run_with(all, batch, model);
+      const auto cycle = run_with(Fidelity::kCycleAccurate, batch, model);
+      expect_identical(sampled, cycle);
+      EXPECT_GT(cycle.noc_busy_cycles, 0u);
+      // Every *compute* layer is sampled (the simulator walks those, not
+      // the model's pooling/auxiliary layers).
+      EXPECT_EQ(sampled.sampled_layers, sampled.layers.size());
+    }
   }
 }
 

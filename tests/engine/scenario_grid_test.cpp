@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace optiplet::engine {
 namespace {
@@ -201,6 +202,27 @@ TEST(ScenarioGrid, RejectsUnknownOverrideKeyAndModel) {
   bad_model.models = {"AlexNet"};
   EXPECT_THROW(bad_model.expand(core::default_system_config()),
                std::invalid_argument);
+}
+
+/// The message expand() throws for `grid`, or "" when it does not throw.
+std::string expand_error(const ScenarioGrid& grid) {
+  try {
+    (void)grid.expand(core::default_system_config());
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ScenarioGrid, UnknownModelIsNamedOnBothModelAxes) {
+  ScenarioGrid models;
+  models.models = {"LeNet5", "AlexNet"};
+  EXPECT_NE(expand_error(models).find("unknown model name: AlexNet"),
+            std::string::npos);
+  ScenarioGrid mixes;
+  mixes.tenant_mixes = {"LeNet5", "LeNet5+AlexNet"};
+  EXPECT_NE(expand_error(mixes).find("unknown model name: AlexNet"),
+            std::string::npos);
 }
 
 TEST(ScenarioGrid, RejectsDuplicateOverrideAxes) {
