@@ -4,7 +4,6 @@
 #include "dnn/zoo.hpp"
 #include "engine/scenario.hpp"
 #include "engine/sweep_runner.hpp"
-#include "noc/photonic_interposer.hpp"
 #include "util/require.hpp"
 
 namespace optiplet::core {
@@ -16,46 +15,19 @@ std::vector<DsePoint> explore(const DseOptions& options,
                    "empty gateway axis");
   OPTIPLET_REQUIRE(!options.modulations.empty(), "empty modulation axis");
 
-  const std::vector<std::string> model_names =
-      options.models.empty() ? dnn::zoo::model_names() : options.models;
-
-  // Enumerate the feasible (wavelengths, gateways, modulation) combos in
-  // nested-loop order; each combo fans out into one scenario per model.
-  struct Combo {
-    std::size_t wavelengths;
-    std::size_t gateways;
-    photonics::ModulationFormat modulation;
-  };
-  std::vector<Combo> combos;
-  std::vector<engine::ScenarioSpec> specs;
-  for (const std::size_t wavelengths : options.wavelengths) {
-    for (const std::size_t gateways : options.gateways_per_chiplet) {
-      if (gateways == 0 || wavelengths % gateways != 0) {
-        continue;
-      }
-      for (const auto modulation : options.modulations) {
-        engine::ScenarioSpec spec;
-        spec.arch = options.arch;
-        spec.batch_size = base.batch_size;
-        spec.wavelengths = wavelengths;
-        spec.gateways_per_chiplet = gateways;
-        spec.modulation = modulation;
-        // DSE discards spectrally infeasible interposer shapes for every
-        // architecture option, matching the pre-engine behavior.
-        SystemConfig probe_cfg = base;
-        spec.apply(probe_cfg);
-        const noc::PhotonicInterposer probe(probe_cfg.photonic,
-                                            probe_cfg.tech.photonic);
-        if (!probe.link_budget_feasible()) {
-          continue;
-        }
-        combos.push_back(Combo{wavelengths, gateways, modulation});
-        for (const auto& name : model_names) {
-          spec.model = name;
-          specs.push_back(spec);
-        }
-      }
-    }
+  // Expand at SiPh so shapes whose link budget cannot close are dropped
+  // for every architecture option (the pre-engine behavior), then run
+  // the surviving specs on the requested architecture. Each feasible
+  // shape is one contiguous models-sized block.
+  engine::ScenarioGrid grid;
+  grid.models = options.models;
+  grid.wavelengths = options.wavelengths;
+  grid.gateways_per_chiplet = options.gateways_per_chiplet;
+  grid.modulations = options.modulations;
+  grid.fidelities = {Fidelity::kAnalytical};  // DSE has no fidelity knob
+  std::vector<engine::ScenarioSpec> specs = grid.expand(base);
+  for (auto& spec : specs) {
+    spec.arch = options.arch;
   }
 
   engine::SweepOptions sweep_options;
@@ -63,21 +35,22 @@ std::vector<DsePoint> explore(const DseOptions& options,
   engine::SweepRunner runner(base, sweep_options);
   const auto results = runner.run(specs);
 
-  // Results come back in submission order: one models-sized block per
-  // feasible combo.
+  const std::size_t models = options.models.empty()
+                                 ? dnn::zoo::model_names().size()
+                                 : options.models.size();
   std::vector<DsePoint> points;
-  points.reserve(combos.size());
-  for (std::size_t c = 0; c < combos.size(); ++c) {
+  points.reserve(specs.size() / models);
+  for (std::size_t first = 0; first < specs.size(); first += models) {
     std::vector<RunResult> runs;
-    runs.reserve(model_names.size());
-    for (std::size_t m = 0; m < model_names.size(); ++m) {
-      runs.push_back(results[c * model_names.size() + m].run);
+    runs.reserve(models);
+    for (std::size_t m = first; m < first + models; ++m) {
+      runs.push_back(results[m].run);
     }
     const auto avg = average_runs("dse", runs);
     DsePoint p;
-    p.wavelengths = combos[c].wavelengths;
-    p.gateways_per_chiplet = combos[c].gateways;
-    p.modulation = combos[c].modulation;
+    p.wavelengths = specs[first].wavelengths;
+    p.gateways_per_chiplet = specs[first].gateways_per_chiplet;
+    p.modulation = specs[first].modulation;
     p.latency_s = avg.latency_s;
     p.power_w = avg.power_w;
     p.epb_j_per_bit = avg.epb_j_per_bit;

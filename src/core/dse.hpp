@@ -33,7 +33,7 @@ struct DsePoint {
   bool pareto = false;
 };
 
-/// Sweep axes. Empty vectors keep the base configuration's value.
+/// Sweep axes. The three shape axes must be non-empty.
 struct DseOptions {
   std::vector<std::size_t> wavelengths{16, 32, 64, 128};
   std::vector<std::size_t> gateways_per_chiplet{1, 2, 4, 8};

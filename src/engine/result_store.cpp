@@ -1,28 +1,12 @@
 #include "engine/result_store.hpp"
 
 #include <map>
-#include <sstream>
 
 #include "util/csv.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace optiplet::engine {
-namespace {
-
-std::string overrides_to_string(const ScenarioSpec& spec) {
-  std::ostringstream os;
-  bool first = true;
-  for (const auto& [name, value] : spec.overrides) {
-    if (!first) {
-      os << ' ';
-    }
-    os << name << '=' << value;
-    first = false;
-  }
-  return os.str();
-}
-
-}  // namespace
 
 void ResultStore::add_all(const std::vector<ScenarioResult>& results) {
   results_.insert(results_.end(), results.begin(), results.end());
@@ -58,6 +42,21 @@ const ScenarioResult* ResultStore::best_by(
     }
   }
   return best;
+}
+
+std::vector<std::string> ResultStore::spec_cells(const ScenarioSpec& spec) {
+  std::vector<std::string> overrides;
+  for (const auto& [name, value] : spec.overrides) {
+    overrides.push_back(name + "=" + util::format_general(value));
+  }
+  return {spec.model,
+          accel::to_string(spec.arch),
+          std::to_string(spec.batch_size),
+          std::to_string(spec.wavelengths),
+          std::to_string(spec.gateways_per_chiplet),
+          photonics::to_string(spec.modulation),
+          core::to_string(spec.fidelity),
+          util::join(overrides, " ")};
 }
 
 std::vector<std::string> ResultStore::csv_header() {
@@ -140,36 +139,38 @@ std::vector<std::string> ResultStore::csv_header() {
           "oracle_cache_misses"};
 }
 
+std::vector<std::string> ResultStore::spec_header() {
+  const auto header = csv_header();
+  return {header.begin(), header.begin() + 8};  // model .. overrides
+}
+
 std::vector<std::string> ResultStore::csv_row(const ScenarioResult& result) {
   const auto& s = result.spec;
   const auto& r = result.run;
-  std::vector<std::string> row = {
-      s.model,
-      accel::to_string(s.arch),
-      std::to_string(s.batch_size),
-      std::to_string(s.wavelengths),
-      std::to_string(s.gateways_per_chiplet),
-      photonics::to_string(s.modulation),
-      core::to_string(s.fidelity),
-      overrides_to_string(s),
-      util::format_general(r.latency_s),
-      util::format_general(r.average_power_w),
-      util::format_general(r.energy_j),
-      util::format_general(r.epb_j_per_bit),
-      std::to_string(r.traffic_bits),
-      std::to_string(r.resipi_reconfigurations),
-      util::format_general(r.mean_active_gateways)};
+  std::vector<std::string> row = spec_cells(s);
+  row.insert(row.end(), {util::format_general(r.latency_s),
+                         util::format_general(r.average_power_w),
+                         util::format_general(r.energy_j),
+                         util::format_general(r.epb_j_per_bit),
+                         std::to_string(r.traffic_bits),
+                         std::to_string(r.resipi_reconfigurations),
+                         util::format_general(r.mean_active_gateways)});
   if (s.serving && result.serving) {
     const auto& spec = *s.serving;
     const auto& m = *result.serving;
+    const bool trace = !spec.trace_path.empty();
+    const bool closed = spec.source == serve::ArrivalSource::kClosedLoop;
+    // Echo only configuration the run honored: a trace or a client pool
+    // sets the load (no rate), and a trace sets the request count.
     row.insert(row.end(),
                {"1",
-                util::format_general(spec.arrival_rps),
+                trace || closed ? std::string()
+                                : util::format_general(spec.arrival_rps),
                 serve::to_string(spec.policy),
                 serve::to_string(spec.pipeline),
                 std::to_string(spec.max_batch),
                 spec.tenant_mix,
-                std::to_string(spec.requests),
+                std::to_string(trace ? m.offered : spec.requests),
                 util::format_general(m.throughput_rps),
                 util::format_general(m.mean_latency_s),
                 util::format_general(m.p50_s),
@@ -179,7 +180,6 @@ std::vector<std::string> ResultStore::csv_row(const ScenarioResult& result) {
                 util::format_general(m.mean_batch),
                 util::format_general(m.utilization),
                 util::format_general(m.energy_per_request_j)});
-    const bool closed = spec.source == serve::ArrivalSource::kClosedLoop;
     row.insert(row.end(),
                {serve::to_string(spec.source),
                 closed ? std::to_string(spec.users) : std::string(),

@@ -39,6 +39,12 @@ class ResultStore {
   [[nodiscard]] const ScenarioResult* best_by(
       const std::function<double(const ScenarioResult&)>& metric) const;
 
+  /// The spec columns every row starts with (model through overrides) and
+  /// their cells — shared with the per-layer dump so the two CSVs join.
+  [[nodiscard]] static std::vector<std::string> spec_header();
+  [[nodiscard]] static std::vector<std::string> spec_cells(
+      const ScenarioSpec& spec);
+
   /// CSV schema: one row per scenario, spec columns then metric columns.
   [[nodiscard]] static std::vector<std::string> csv_header();
   [[nodiscard]] static std::vector<std::string> csv_row(

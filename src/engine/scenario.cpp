@@ -219,39 +219,110 @@ bool feasible(const ScenarioSpec& spec, const core::SystemConfig& base) {
   return probe.link_budget_feasible();
 }
 
+namespace {
+
+/// Which block of a spec an axis writes. Sweeping any serving axis makes
+/// every spec a serving scenario; sweeping any cluster axis, a rack (which
+/// is also a serving scenario, hence the order).
+enum Tier { kShape, kServing, kCluster };
+
+/// One swept axis: `size` values, the i-th imprinted by `set`. An empty
+/// axis (size 0) leaves every spec at its default.
+struct Axis {
+  Tier tier;
+  std::size_t size;
+  std::function<void(ScenarioSpec&, std::size_t)> set;
+};
+
+template <typename T, typename Set>
+Axis axis(Tier tier, const std::vector<T>& values, Set set) {
+  return {tier, values.size(),
+          [&values, set](ScenarioSpec& spec, std::size_t i) {
+            set(spec, values[i]);
+          }};
+}
+
+/// The grid's axes, outermost first: the nesting order of expand().
+std::vector<Axis> axes(const ScenarioGrid& g) {
+  using S = ScenarioSpec;
+  return {
+      axis(kShape, g.fidelities, [](S& s, auto v) { s.fidelity = v; }),
+      axis(kShape, g.wavelengths, [](S& s, auto v) { s.wavelengths = v; }),
+      axis(kShape, g.gateways_per_chiplet,
+           [](S& s, auto v) { s.gateways_per_chiplet = v; }),
+      axis(kShape, g.modulations, [](S& s, auto v) { s.modulation = v; }),
+      axis(kShape, g.batch_sizes, [](S& s, auto v) { s.batch_size = v; }),
+      axis(kServing, g.arrival_rates_rps,
+           [](S& s, auto v) { s.serving->arrival_rps = v; }),
+      axis(kServing, g.batch_policies,
+           [](S& s, auto v) { s.serving->policy = v; }),
+      axis(kServing, g.pipeline_modes,
+           [](S& s, auto v) { s.serving->pipeline = v; }),
+      axis(kServing, g.arrival_sources,
+           [](S& s, auto v) { s.serving->source = v; }),
+      axis(kServing, g.user_counts, [](S& s, auto v) { s.serving->users = v; }),
+      axis(kServing, g.admission_policies,
+           [](S& s, auto v) { s.serving->admission = v; }),
+      axis(kServing, g.prefill_token_counts,
+           [](S& s, auto v) { s.serving->prefill_tokens = v; }),
+      axis(kServing, g.decode_token_counts,
+           [](S& s, auto v) { s.serving->decode_tokens = v; }),
+      axis(kServing, g.elastic_policies,
+           [](S& s, const std::string& policy) {
+             const auto parsed = serve::elastic_from_string(policy);
+             OPTIPLET_REQUIRE(parsed.has_value(),
+                              "unparseable elastic policy: " + policy);
+             s.serving->elastic = *parsed;
+           }),
+      axis(kCluster, g.package_counts,
+           [](S& s, auto v) { s.cluster->packages = v; }),
+      axis(kCluster, g.balancer_policies,
+           [](S& s, auto v) { s.cluster->balancer = v; }),
+      axis(kCluster, g.replication_factors,
+           [](S& s, auto v) { s.cluster->replication = v; }),
+  };
+}
+
+/// The model axis: tenant mixes in serving mode (empty = the defaults'
+/// mix), Table-2 models otherwise (empty = all five).
+std::vector<std::string> model_axis(const ScenarioGrid& grid, bool serving) {
+  if (serving) {
+    return grid.tenant_mixes.empty()
+               ? std::vector<std::string>{grid.serving_defaults.tenant_mix}
+               : grid.tenant_mixes;
+  }
+  return grid.models.empty() ? dnn::zoo::model_names() : grid.models;
+}
+
+bool any_swept(const ScenarioGrid& grid, Tier tier) {
+  const auto list = axes(grid);
+  return std::any_of(list.begin(), list.end(), [tier](const Axis& a) {
+    return a.size > 0 && a.tier >= tier;
+  });
+}
+
+}  // namespace
+
+bool ScenarioGrid::cluster_mode() const {
+  return any_swept(*this, kCluster);
+}
+
+bool ScenarioGrid::serving_mode() const {
+  return !tenant_mixes.empty() || any_swept(*this, kServing);
+}
+
 std::size_t ScenarioGrid::raw_size() const {
-  const auto axis = [](std::size_t n) { return n == 0 ? std::size_t{1} : n; };
-  std::size_t size = axis(models.empty() ? dnn::zoo::model_names().size()
-                                         : models.size());
-  size *= axis(architectures.size());
-  size *= axis(batch_sizes.size());
-  size *= axis(wavelengths.size());
-  size *= axis(gateways_per_chiplet.size());
-  size *= axis(modulations.size());
-  size *= axis(fidelities.size());
+  const auto nonzero = [](std::size_t n) {
+    return std::max<std::size_t>(n, 1);
+  };
+  std::size_t size = model_axis(*this, serving_mode()).size() *
+                     nonzero(architectures.size());
+  for (const Axis& a : axes(*this)) {
+    size *= nonzero(a.size);
+  }
   for (const auto& [name, values] : override_axes) {
     (void)name;
-    size *= axis(values.size());
-  }
-  if (serving_mode()) {
-    // `models` is replaced by the tenant-mix axis in serving mode.
-    size /= axis(models.empty() ? dnn::zoo::model_names().size()
-                                : models.size());
-    size *= axis(tenant_mixes.size());
-    size *= axis(arrival_rates_rps.size());
-    size *= axis(batch_policies.size());
-    size *= axis(pipeline_modes.size());
-    size *= axis(arrival_sources.size());
-    size *= axis(user_counts.size());
-    size *= axis(admission_policies.size());
-    size *= axis(prefill_token_counts.size());
-    size *= axis(decode_token_counts.size());
-    size *= axis(elastic_policies.size());
-  }
-  if (cluster_mode()) {
-    size *= axis(package_counts.size());
-    size *= axis(balancer_policies.size());
-    size *= axis(replication_factors.size());
+    size *= nonzero(values.size());
   }
   return size;
 }
@@ -259,99 +330,49 @@ std::size_t ScenarioGrid::raw_size() const {
 std::vector<ScenarioSpec> ScenarioGrid::expand(
     const core::SystemConfig& base) const {
   const bool serving = serving_mode();
-  // In serving mode the "model" axis enumerates tenant mixes; every mix
-  // component must still resolve in the zoo.
-  const std::vector<std::string> model_axis =
-      serving ? (tenant_mixes.empty()
-                     ? std::vector<std::string>{serving_defaults.tenant_mix}
-                     : tenant_mixes)
-              : (models.empty() ? dnn::zoo::model_names() : models);
-  for (const auto& name : model_axis) {
+  const std::vector<std::string> models_or_mixes = model_axis(*this, serving);
+  for (const auto& name : models_or_mixes) {
     for (const auto& component :
          serving ? serve::split_mix(name) : std::vector<std::string>{name}) {
       // Fail fast on unknown models without building the known ones.
       (void)dnn::ModelRegistry::instance().at(component);
     }
   }
-  const std::vector<double> rate_axis =
-      arrival_rates_rps.empty()
-          ? std::vector<double>{serving_defaults.arrival_rps}
-          : arrival_rates_rps;
-  const std::vector<serve::BatchPolicy> policy_axis =
-      batch_policies.empty()
-          ? std::vector<serve::BatchPolicy>{serving_defaults.policy}
-          : batch_policies;
-  const std::vector<serve::PipelineMode> pipeline_axis =
-      pipeline_modes.empty()
-          ? std::vector<serve::PipelineMode>{serving_defaults.pipeline}
-          : pipeline_modes;
-  const std::vector<serve::ArrivalSource> source_axis =
-      arrival_sources.empty()
-          ? std::vector<serve::ArrivalSource>{serving_defaults.source}
-          : arrival_sources;
-  const std::vector<unsigned> users_axis =
-      user_counts.empty() ? std::vector<unsigned>{serving_defaults.users}
-                          : user_counts;
-  const std::vector<serve::AdmissionPolicy> admission_axis =
-      admission_policies.empty()
-          ? std::vector<serve::AdmissionPolicy>{serving_defaults.admission}
-          : admission_policies;
-  const std::vector<std::uint32_t> prefill_axis =
-      prefill_token_counts.empty()
-          ? std::vector<std::uint32_t>{serving_defaults.prefill_tokens}
-          : prefill_token_counts;
-  const std::vector<std::uint32_t> decode_axis =
-      decode_token_counts.empty()
-          ? std::vector<std::uint32_t>{serving_defaults.decode_tokens}
-          : decode_token_counts;
-  // Parse the elastic-policy axis up front: an unparseable policy string
-  // fails the whole expansion, not the Nth spec.
-  std::vector<serve::ElasticSpec> elastic_axis{serving_defaults.elastic};
-  if (!elastic_policies.empty()) {
-    elastic_axis.clear();
-    for (const std::string& policy : elastic_policies) {
-      const std::optional<serve::ElasticSpec> parsed =
-          serve::elastic_from_string(policy);
-      OPTIPLET_REQUIRE(parsed.has_value(),
-                       "unparseable elastic policy: " + policy);
-      elastic_axis.push_back(*parsed);
-    }
+
+  // Fold the axes outermost first, so partials come out in nesting order;
+  // unswept fields keep the base configuration's (or the defaults') value.
+  ScenarioSpec seed;
+  seed.fidelity = base.fidelity;
+  seed.wavelengths = base.photonic.total_wavelengths;
+  seed.gateways_per_chiplet = base.photonic.gateways_per_chiplet;
+  seed.modulation = base.photonic.modulation;
+  seed.batch_size = base.batch_size;
+  if (serving) {
+    seed.serving = serving_defaults;
   }
-  const std::vector<std::size_t> package_axis =
-      package_counts.empty()
-          ? std::vector<std::size_t>{cluster_defaults.packages}
-          : package_counts;
-  const std::vector<cluster::BalancerPolicy> balancer_axis =
-      balancer_policies.empty()
-          ? std::vector<cluster::BalancerPolicy>{cluster_defaults.balancer}
-          : balancer_policies;
-  const std::vector<std::size_t> replication_axis =
-      replication_factors.empty()
-          ? std::vector<std::size_t>{cluster_defaults.replication}
-          : replication_factors;
+  if (cluster_mode()) {
+    seed.cluster = cluster_defaults;
+  }
+  std::vector<ScenarioSpec> partials{seed};
+  for (const Axis& a : axes(*this)) {
+    if (a.size == 0) {
+      continue;
+    }
+    std::vector<ScenarioSpec> next;
+    next.reserve(partials.size() * a.size);
+    for (const ScenarioSpec& partial : partials) {
+      for (std::size_t i = 0; i < a.size; ++i) {
+        next.push_back(partial);
+        a.set(next.back(), i);
+      }
+    }
+    partials = std::move(next);
+  }
+
   const std::vector<accel::Architecture> arch_axis =
       architectures.empty()
           ? std::vector<accel::Architecture>{accel::Architecture::kSiph2p5D}
           : architectures;
-  const std::vector<unsigned> batch_axis =
-      batch_sizes.empty() ? std::vector<unsigned>{base.batch_size}
-                          : batch_sizes;
-  const std::vector<std::size_t> wl_axis =
-      wavelengths.empty()
-          ? std::vector<std::size_t>{base.photonic.total_wavelengths}
-          : wavelengths;
-  const std::vector<std::size_t> gw_axis =
-      gateways_per_chiplet.empty()
-          ? std::vector<std::size_t>{base.photonic.gateways_per_chiplet}
-          : gateways_per_chiplet;
-  const std::vector<photonics::ModulationFormat> mod_axis =
-      modulations.empty()
-          ? std::vector<photonics::ModulationFormat>{base.photonic.modulation}
-          : modulations;
-  const std::vector<core::FidelitySpec> fid_axis =
-      fidelities.empty() ? std::vector<core::FidelitySpec>{base.fidelity}
-                         : fidelities;
-
   const auto keys = override_keys();
   for (std::size_t i = 0; i < override_axes.size(); ++i) {
     const auto& [name, values] = override_axes[i];
@@ -367,8 +388,8 @@ std::vector<ScenarioSpec> ScenarioGrid::expand(
   }
 
   std::vector<ScenarioSpec> specs;
-  // Recursive cartesian product over the override axes; the first-class
-  // axes nest around it (see header for the documented order).
+  // Recursive cartesian product over the override axes, inside each
+  // partial (see header for the documented order).
   std::vector<std::pair<std::string, double>> current_overrides;
   const std::function<void(std::size_t, const ScenarioSpec&)> expand_axis =
       [&](std::size_t axis_index, const ScenarioSpec& partial) {
@@ -404,7 +425,7 @@ std::vector<ScenarioSpec> ScenarioGrid::expand(
           if (!shape_ok) {
             continue;
           }
-          for (const auto& model : model_axis) {
+          for (const auto& model : models_or_mixes) {
             ScenarioSpec spec = partial;
             spec.model = model;
             spec.arch = arch;
@@ -416,74 +437,8 @@ std::vector<ScenarioSpec> ScenarioGrid::expand(
           }
         }
       };
-
-  for (const auto fid : fid_axis) {
-    for (const std::size_t wl : wl_axis) {
-      for (const std::size_t gw : gw_axis) {
-        for (const auto mod : mod_axis) {
-          for (const unsigned batch : batch_axis) {
-            ScenarioSpec partial;
-            partial.fidelity = fid;
-            partial.wavelengths = wl;
-            partial.gateways_per_chiplet = gw;
-            partial.modulation = mod;
-            partial.batch_size = batch;
-            if (!serving) {
-              expand_axis(0, partial);
-              continue;
-            }
-            for (const double rate : rate_axis) {
-              for (const serve::BatchPolicy policy : policy_axis) {
-                for (const serve::PipelineMode pipeline : pipeline_axis) {
-                  for (const serve::ArrivalSource source : source_axis) {
-                    for (const unsigned users : users_axis) {
-                      for (const serve::AdmissionPolicy admission :
-                           admission_axis) {
-                        for (const std::uint32_t prefill : prefill_axis) {
-                          for (const std::uint32_t decode : decode_axis) {
-                            for (const serve::ElasticSpec& elastic :
-                                 elastic_axis) {
-                              partial.serving = serving_defaults;
-                              partial.serving->arrival_rps = rate;
-                              partial.serving->policy = policy;
-                              partial.serving->pipeline = pipeline;
-                              partial.serving->source = source;
-                              partial.serving->users = users;
-                              partial.serving->admission = admission;
-                              partial.serving->prefill_tokens = prefill;
-                              partial.serving->decode_tokens = decode;
-                              partial.serving->elastic = elastic;
-                              if (!cluster_mode()) {
-                                expand_axis(0, partial);
-                                continue;
-                              }
-                              for (const std::size_t packages :
-                                   package_axis) {
-                                for (const auto balancer : balancer_axis) {
-                                  for (const std::size_t replication :
-                                       replication_axis) {
-                                    partial.cluster = cluster_defaults;
-                                    partial.cluster->packages = packages;
-                                    partial.cluster->balancer = balancer;
-                                    partial.cluster->replication =
-                                        replication;
-                                    expand_axis(0, partial);
-                                  }
-                                }
-                              }
-                            }
-                          }
-                        }
-                      }
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
+  for (const ScenarioSpec& partial : partials) {
+    expand_axis(0, partial);
   }
   return specs;
 }

@@ -20,6 +20,7 @@
 #include "sim/event_queue.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
+#include "util/table.hpp"
 
 namespace optiplet::serve {
 namespace {
@@ -1713,6 +1714,49 @@ ColocationPlan monolithic_plan(const core::SystemConfig& system,
   return plan;
 }
 
+/// Every armed dead-chiplet fault fires during the run, so a pool whose
+/// last chiplet of some kind dies can no longer serve a tenant needing
+/// that kind. Reject it up front, naming the fault entry that kills the
+/// kind's last chiplet (in firing order), the kind and the tenant.
+void reject_faults_that_empty_needed_kinds(
+    const ServingConfig& config, const std::vector<TenantDemand>& demands) {
+  std::vector<FaultSpec> kills;
+  for (const FaultSpec& fault : config.elastic.faults) {
+    if (fault.armed() && fault.chiplet >= 0) {
+      kills.push_back(fault);
+    }
+  }
+  std::stable_sort(kills.begin(), kills.end(),
+                   [](const FaultSpec& a, const FaultSpec& b) {
+                     return a.time_s < b.time_s;
+                   });
+  std::vector<accel::MacKind> kind_of;  // by pool-global chiplet id
+  for (const auto& group : config.system.compute_2p5d.groups) {
+    kind_of.insert(kind_of.end(), group.chiplet_count, group.chiplet.kind);
+  }
+  std::vector<char> dead(kind_of.size(), 0);
+  for (const FaultSpec& fault : kills) {
+    const accel::MacKind kind = kind_of[fault.chiplet];
+    dead[fault.chiplet] = 1;
+    bool kind_alive = false;
+    for (std::size_t c = 0; c < kind_of.size(); ++c) {
+      kind_alive = kind_alive || (kind_of[c] == kind && dead[c] == 0);
+    }
+    for (std::size_t t = 0; t < demands.size() && !kind_alive; ++t) {
+      const auto& needed = demands[t].needed_kinds;
+      if (std::find(needed.begin(), needed.end(), kind) != needed.end()) {
+        throw std::invalid_argument(
+            "fault=" + util::format_general(fault.time_s) + ':' +
+            std::to_string(fault.chiplet) + ':' +
+            util::format_general(fault.bandwidth_derate) + ':' +
+            std::to_string(fault.package) + " kills the last " +
+            accel::to_string(kind) + " chiplet, which tenant " +
+            config.tenants[t].model + " needs");
+      }
+    }
+  }
+}
+
 }  // namespace
 
 ColocatedSetup make_colocated_setup(const core::SystemConfig& system,
@@ -2101,6 +2145,7 @@ ServingReport simulate(const ServingConfig& config) {
       engine.apply_fault(fault);
     });
   }
+  reject_faults_that_empty_needed_kinds(config, engine.base_demands);
 
   engine.events.run();
   if (config.elastic.gate) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace optiplet::core {
 namespace {
@@ -123,6 +124,55 @@ TEST(Explore, Pam4AxisWorks) {
   // PAM-4 buys bandwidth at a power cost.
   EXPECT_LE(points[1].latency_s, points[0].latency_s * 1.001);
   EXPECT_GT(points[1].power_w, points[0].power_w);
+}
+
+TEST(Explore, EveryArchitectureSweepsTheSameSiphFeasibleShapes) {
+  // Shapes whose SiPh link budget cannot close are dropped for every
+  // architecture, so the three platforms are compared point for point.
+  DseOptions options;
+  options.wavelengths = {32, 64, 128};
+  options.gateways_per_chiplet = {3, 4, 8};
+  options.modulations = {photonics::ModulationFormat::kOok,
+                         photonics::ModulationFormat::kPam4};
+  options.models = {"LeNet5"};
+  options.threads = 1;
+  const auto base = default_system_config();
+  options.arch = accel::Architecture::kSiph2p5D;
+  const auto siph = explore(options, base);
+  ASSERT_FALSE(siph.empty());
+  for (const auto arch : {accel::Architecture::kElec2p5D,
+                          accel::Architecture::kMonolithicCrossLight}) {
+    options.arch = arch;
+    const auto points = explore(options, base);
+    ASSERT_EQ(points.size(), siph.size()) << accel::to_string(arch);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(points[i].wavelengths, siph[i].wavelengths);
+      EXPECT_EQ(points[i].gateways_per_chiplet,
+                siph[i].gateways_per_chiplet);
+      EXPECT_EQ(points[i].modulation, siph[i].modulation);
+      EXPECT_GT(points[i].latency_s, 0.0);
+    }
+    // The same shape list evaluated twice gives the same points.
+    const auto again = explore(options, base);
+    ASSERT_EQ(again.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(again[i].latency_s, points[i].latency_s);
+      EXPECT_EQ(again[i].power_w, points[i].power_w);
+      EXPECT_EQ(again[i].epb_j_per_bit, points[i].epb_j_per_bit);
+      EXPECT_EQ(again[i].pareto, points[i].pareto);
+    }
+  }
+  // Nested-loop order: wavelengths, then gateways, then modulation; the
+  // 128-wavelength 4-gateway shape fails the budget and 3 never divides.
+  std::string shapes;
+  for (const auto& p : siph) {
+    shapes += std::to_string(p.wavelengths) + "x" +
+              std::to_string(p.gateways_per_chiplet) + "/" +
+              photonics::to_string(p.modulation) + " ";
+  }
+  EXPECT_EQ(shapes,
+            "32x4/OOK 32x4/PAM-4 32x8/OOK 32x8/PAM-4 64x4/OOK 64x4/PAM-4 "
+            "64x8/OOK 64x8/PAM-4 128x8/OOK 128x8/PAM-4 ");
 }
 
 }  // namespace

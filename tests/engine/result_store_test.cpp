@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -66,6 +67,58 @@ TEST(ResultStore, CsvRowsMatchHeaderWidth) {
   const auto row = ResultStore::csv_row(
       make_result("LeNet5", accel::Architecture::kSiph2p5D, 1.0, 2.0, 3.0));
   EXPECT_EQ(row.size(), header.size());
+}
+
+TEST(ResultStore, SpecColumnsAreSharedAndOverridesKeepNineDigits) {
+  // The per-layer dump starts with the same spec columns, so both CSVs
+  // join on them: override values past the 6th digit must not collapse.
+  auto r = make_result("LeNet5", accel::Architecture::kSiph2p5D, 1.0, 2.0,
+                       3.0);
+  r.spec.overrides = {{"resipi.epoch_s", 1.2345678e-5},
+                      {"idle_power_fraction", 0.05}};
+  const auto header = ResultStore::csv_header();
+  const auto row = ResultStore::csv_row(r);
+  const auto spec_header = ResultStore::spec_header();
+  const auto cells = ResultStore::spec_cells(r.spec);
+  ASSERT_EQ(spec_header.size(), 8u);
+  ASSERT_EQ(cells.size(), spec_header.size());
+  EXPECT_EQ(spec_header.back(), "overrides");
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(header[i], spec_header[i]);
+    EXPECT_EQ(row[i], cells[i]);
+  }
+  EXPECT_EQ(cells.back(),
+            "resipi.epoch_s=1.2345678e-05 idle_power_fraction=0.05");
+}
+
+TEST(ResultStore, ServingRowsEchoOnlyConfigurationTheRunHonored) {
+  const auto column = [](const std::string& name) {
+    const auto header = ResultStore::csv_header();
+    return static_cast<std::size_t>(
+        std::find(header.begin(), header.end(), name) - header.begin());
+  };
+  auto r = make_result("LeNet5", accel::Architecture::kSiph2p5D, 1.0, 2.0,
+                       3.0);
+  r.spec.serving = serve::ServingSpec{};  // 200 r/s, 2000 requests
+  r.serving = serve::ServingMetrics{};
+  r.serving->offered = 2;
+
+  auto row = ResultStore::csv_row(r);
+  EXPECT_EQ(row[column("arrival_rps")], "200");
+  EXPECT_EQ(row[column("requests")], "2000");
+
+  // A replayed trace sets both the load and the request count.
+  r.spec.serving->trace_path = "two_rows.csv";
+  row = ResultStore::csv_row(r);
+  EXPECT_EQ(row[column("arrival_rps")], "");
+  EXPECT_EQ(row[column("requests")], "2");
+
+  // A client pool sets the load; the request budget is honored.
+  r.spec.serving->trace_path.clear();
+  r.spec.serving->source = serve::ArrivalSource::kClosedLoop;
+  row = ResultStore::csv_row(r);
+  EXPECT_EQ(row[column("arrival_rps")], "");
+  EXPECT_EQ(row[column("requests")], "2000");
 }
 
 TEST(ResultStore, WriteCsvProducesWellFormedFile) {

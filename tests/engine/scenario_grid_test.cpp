@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace optiplet::engine {
 namespace {
@@ -232,6 +234,141 @@ TEST(ScenarioGrid, RejectsDuplicateOverrideAxes) {
                         {"resipi.epoch_s", {1e-5}}};
   EXPECT_THROW(grid.expand(core::default_system_config()),
                std::invalid_argument);
+}
+
+/// Every serving and cluster axis at two values on top of a shape axis
+/// with one SiPh-infeasible entry, two architectures, two mixes and one
+/// override: the expansion's order and content are pinned by its first
+/// and last key plus an FNV-1a digest over every key in order.
+ScenarioGrid every_axis_grid() {
+  ScenarioGrid grid;
+  grid.architectures = {accel::Architecture::kElec2p5D,
+                        accel::Architecture::kSiph2p5D};
+  grid.wavelengths = {64, 128};  // 128 over 4 gateways fails SiPh only
+  grid.override_axes = {{"resipi.epoch_s", {1.2345678e-5}}};
+  grid.tenant_mixes = {"LeNet5", "LeNet5+ResNet50"};
+  grid.arrival_rates_rps = {100.0, 200.0};
+  grid.batch_policies = {serve::BatchPolicy::kNone,
+                         serve::BatchPolicy::kDeadline};
+  grid.pipeline_modes = {serve::PipelineMode::kBatchGranular,
+                         serve::PipelineMode::kLayerGranular};
+  grid.arrival_sources = {serve::ArrivalSource::kOpenLoop,
+                          serve::ArrivalSource::kClosedLoop};
+  grid.user_counts = {4, 16};
+  grid.admission_policies = {serve::AdmissionPolicy::kAdmitAll,
+                             serve::AdmissionPolicy::kSlaShed};
+  grid.prefill_token_counts = {0, 64};
+  grid.decode_token_counts = {0, 16};
+  grid.elastic_policies = {"static", "shift=0.2/tau=60"};
+  grid.package_counts = {1, 2};
+  grid.balancer_policies = {cluster::BalancerPolicy::kRoundRobin,
+                            cluster::BalancerPolicy::kLocalityAware};
+  grid.replication_factors = {1, 2};
+  return grid;
+}
+
+TEST(ScenarioGrid, EveryAxisExpansionIsPinned) {
+  const ScenarioGrid grid = every_axis_grid();
+  const auto specs = grid.expand(core::default_system_config());
+  std::uint64_t digest = 14695981039346656037ULL;
+  for (const auto& spec : specs) {
+    for (const char c : spec.key() + '\n') {
+      digest ^= static_cast<unsigned char>(c);
+      digest *= 1099511628211ULL;
+    }
+  }
+  ASSERT_FALSE(specs.empty());
+  EXPECT_EQ(grid.raw_size(), 32768u);
+  EXPECT_EQ(specs.size(), 24576u);
+  EXPECT_EQ(specs.front().key(),
+            "model=LeNet5;arch=2.5D-CrossLight-Elec;batch=1;wl=64;gw=4;"
+            "mod=OOK;fid=analytical;resipi.epoch_s=1.2345677999999999e-05;"
+            "serve.policy=none;serve.pipe=batch;serve.batch=8;"
+            "serve.wait=0.001;serve.mix=LeNet5;serve.sla=0;serve.adm=all;"
+            "serve.rate=100;serve.n=2000;serve.seed=42;cluster.pkgs=1;"
+            "cluster.bal=rr;cluster.rep=1;cluster.len=0.25;"
+            "cluster.linkwl=16");
+  EXPECT_EQ(specs.back().key(),
+            "model=LeNet5+ResNet50;arch=2.5D-CrossLight-Elec;batch=1;"
+            "wl=128;gw=4;mod=OOK;fid=analytical;"
+            "resipi.epoch_s=1.2345677999999999e-05;serve.policy=deadline;"
+            "serve.pipe=layer;serve.batch=8;serve.wait=0.001;"
+            "serve.mix=LeNet5+ResNet50;serve.sla=0;serve.adm=shed;"
+            "serve.elastic=shift=0.20000000000000001/tau=60;"
+            "serve.prefill=64;serve.decode=16;serve.spread=0;"
+            "serve.kv_mb=256;serve.src=closed;serve.users=16;"
+            "serve.think=0.01;serve.n=2000;serve.seed=42;cluster.pkgs=2;"
+            "cluster.bal=locality;cluster.rep=2;cluster.len=0.25;"
+            "cluster.linkwl=16");
+  EXPECT_EQ(digest, 17773918422570481829ULL);
+}
+
+TEST(ScenarioGrid, EachAxisAloneSwitchesTheRightMode) {
+  struct Case {
+    std::string axis;
+    ScenarioGrid grid;
+    bool serving;
+    bool cluster;
+  };
+  std::vector<Case> cases;
+  const auto add = [&cases](std::string axis, bool serving,
+                            bool cluster) -> ScenarioGrid& {
+    cases.push_back({std::move(axis), ScenarioGrid{}, serving, cluster});
+    return cases.back().grid;
+  };
+  using accel::Architecture;
+  add("none", false, false);
+  add("models", false, false).models = {"LeNet5", "VGG16"};
+  add("architectures", false, false).architectures = {
+      Architecture::kElec2p5D, Architecture::kSiph2p5D};
+  add("batch_sizes", false, false).batch_sizes = {1, 2};
+  add("wavelengths", false, false).wavelengths = {32, 64};
+  add("gateways", false, false).gateways_per_chiplet = {4, 8};
+  add("modulations", false, false).modulations = {
+      photonics::ModulationFormat::kOok, photonics::ModulationFormat::kPam4};
+  add("fidelities", false, false).fidelities = {
+      core::Fidelity::kAnalytical, core::Fidelity::kCycleAccurate};
+  add("override_axes", false, false).override_axes = {
+      {"resipi.epoch_s", {5e-6, 1e-5}}};
+  add("tenant_mixes", true, false).tenant_mixes = {"LeNet5", "VGG16"};
+  add("arrival_rates_rps", true, false).arrival_rates_rps = {100.0, 200.0};
+  add("batch_policies", true, false).batch_policies = {
+      serve::BatchPolicy::kNone, serve::BatchPolicy::kFixedSize};
+  add("pipeline_modes", true, false).pipeline_modes = {
+      serve::PipelineMode::kBatchGranular,
+      serve::PipelineMode::kLayerGranular};
+  add("arrival_sources", true, false).arrival_sources = {
+      serve::ArrivalSource::kOpenLoop, serve::ArrivalSource::kClosedLoop};
+  add("user_counts", true, false).user_counts = {4, 16};
+  add("admission_policies", true, false).admission_policies = {
+      serve::AdmissionPolicy::kAdmitAll, serve::AdmissionPolicy::kSlaShed};
+  add("prefill_token_counts", true, false).prefill_token_counts = {0, 64};
+  add("decode_token_counts", true, false).decode_token_counts = {0, 16};
+  add("elastic_policies", true, false).elastic_policies = {"static",
+                                                           "shift=0.2"};
+  add("package_counts", true, true).package_counts = {1, 2};
+  add("balancer_policies", true, true).balancer_policies = {
+      cluster::BalancerPolicy::kRoundRobin,
+      cluster::BalancerPolicy::kLocalityAware};
+  add("replication_factors", true, true).replication_factors = {1, 2};
+
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.grid.serving_mode(), c.serving) << c.axis;
+    EXPECT_EQ(c.grid.cluster_mode(), c.cluster) << c.axis;
+    // Every swept axis doubles the grid; with no axis swept, the grid is
+    // the five Table-2 models (or one default mix in serving mode).
+    const std::size_t models = c.serving ? 1 : 5;
+    const std::size_t expected = c.axis == "none"     ? models
+                                 : c.axis == "models" ? 2
+                                                      : 2 * models;
+    EXPECT_EQ(c.grid.raw_size(), expected) << c.axis;
+    const auto specs = c.grid.expand(core::default_system_config());
+    EXPECT_EQ(specs.size(), expected) << c.axis;
+    for (const auto& spec : specs) {
+      EXPECT_EQ(spec.serving.has_value(), c.serving) << c.axis;
+      EXPECT_EQ(spec.cluster.has_value(), c.cluster) << c.axis;
+    }
+  }
 }
 
 TEST(ParseHelpers, ArchitectureAndModulationAliases) {

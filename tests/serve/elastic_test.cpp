@@ -15,7 +15,9 @@
 ///   * every re-partition charges exactly one ReSiPI PCM-write window
 ///     (the repartition mirror of the one-retune-per-handoff invariant);
 ///   * power-gating removes measured idle energy from the ledger, and a
-///     dead-chiplet fault mid-run leaves a degraded but serving pool.
+///     dead-chiplet fault mid-run leaves a degraded but serving pool —
+///     unless it kills the last chiplet of a kind a tenant needs, which
+///     is rejected before the run.
 
 #include <gtest/gtest.h>
 
@@ -427,6 +429,27 @@ TEST(ElasticFaults, DeadChipletDegradesButKeepsServing) {
   EXPECT_GT(faulted.completed, 0u);  // degraded, still serving
   EXPECT_EQ(faulted.offered,
             faulted.completed + faulted.shed + faulted.abandoned);
+}
+
+TEST(ElasticFaults, FaultThatEmptiesANeededKindIsRejectedAtSetup) {
+  // Chiplet 2 is the Table-1 pool's only 7x7 conv chiplet: ResNet50
+  // needs that kind, LeNet5 does not.
+  ServingSpec mixed = base_spec("LeNet5+ResNet50", 200.0, 200);
+  mixed.elastic.faults.push_back({0.1, 2, 1.0, -1});
+  try {
+    (void)run(mixed);
+    ADD_FAILURE() << "a fault emptying a needed kind was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "fault=0.1:2:1:-1 kills the last 7x7 conv chiplet, which "
+              "tenant ResNet50 needs");
+  }
+
+  ServingSpec lenet = base_spec("LeNet5", 200.0, 200);
+  lenet.elastic.faults = mixed.elastic.faults;
+  const ServingMetrics m = run(lenet).metrics;
+  EXPECT_EQ(m.faults_injected, 1u);
+  EXPECT_EQ(m.offered, m.completed + m.shed + m.abandoned);
 }
 
 TEST(ElasticFaults, MicroringDriftDeratesServiceTime) {

@@ -16,8 +16,10 @@
 #include <cstdarg>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -125,7 +127,8 @@ inline std::optional<double> parse_double(const std::string& text) {
 
 inline std::optional<std::size_t> parse_count(const std::string& text) {
   const auto value = parse_double(text);
-  if (!value || *value < 0 ||
+  // 2^64 and above do not fit a size_t: casting them is undefined.
+  if (!value || *value < 0 || *value >= 0x1p64 ||
       *value != static_cast<double>(static_cast<std::size_t>(*value))) {
     return std::nullopt;
   }
@@ -381,120 +384,58 @@ OptionSet::Parse store_choice(T& out, F from_string, std::string what,
   };
 }
 
-/// Comma list of positive integers.
+/// The lower bound a numeric flag value must meet (every value is finite).
+enum Bound { kFinite, kNonNegative, kPositive };
+
+/// One number within `bound`: integral destinations parse through
+/// parse_count (non-negative integers that fit T), floating ones through
+/// parse_double (finite). nullopt when the text or the bound fails.
 template <typename T>
-OptionSet::Parse append_counts(std::vector<T>& out, std::string what) {
-  return [&out, what = std::move(what)](
-             const std::string& text) -> std::optional<std::string> {
-    for (const auto& part : split(text, ',')) {
-      const auto value = parse_count(part);
-      if (!value || *value == 0) {
-        return "bad " + what + ": " + part;
-      }
-      out.push_back(static_cast<T>(*value));
+std::optional<T> parse_number(const std::string& text, Bound bound) {
+  const auto value = parse_double(text);
+  if (!value || (bound == kNonNegative && *value < 0.0) ||
+      (bound == kPositive && *value <= 0.0)) {
+    return std::nullopt;
+  }
+  if constexpr (std::is_integral_v<T>) {
+    const auto count = parse_count(text);
+    if (!count || *count > std::numeric_limits<T>::max()) {
+      return std::nullopt;  // a wider value would wrap in the cast
     }
+    return static_cast<T>(*count);
+  } else {
+    return *value;
+  }
+}
+
+/// One number within `bound`; fails with "bad <what>: <text>".
+template <typename T>
+OptionSet::Parse store_number(T& out, std::string what, Bound bound) {
+  return [&out, what = std::move(what), bound](
+             const std::string& text) -> std::optional<std::string> {
+    const auto value = parse_number<T>(text, bound);
+    if (!value) {
+      return "bad " + what + ": " + text;
+    }
+    out = *value;
     return std::nullopt;
   };
 }
 
-/// Comma list of non-negative integers (token counts, where 0 is a
-/// meaningful value: e.g. pure-prefill requests with no decode phase).
+/// Comma list of numbers within `bound`, appended; fails naming the
+/// first bad entry.
 template <typename T>
-OptionSet::Parse append_counts_or_zero(std::vector<T>& out,
-                                       std::string what) {
-  return [&out, what = std::move(what)](
+OptionSet::Parse append_numbers(std::vector<T>& out, std::string what,
+                                Bound bound) {
+  return [&out, what = std::move(what), bound](
              const std::string& text) -> std::optional<std::string> {
     for (const auto& part : split(text, ',')) {
-      const auto value = parse_count(part);
+      const auto value = parse_number<T>(part, bound);
       if (!value) {
-        return "bad " + what + ": " + part;
-      }
-      out.push_back(static_cast<T>(*value));
-    }
-    return std::nullopt;
-  };
-}
-
-/// Comma list of strictly positive doubles.
-inline OptionSet::Parse append_positive_doubles(std::vector<double>& out,
-                                                std::string what) {
-  return [&out, what = std::move(what)](
-             const std::string& text) -> std::optional<std::string> {
-    for (const auto& part : split(text, ',')) {
-      const auto value = parse_double(part);
-      if (!value || *value <= 0.0) {
         return "bad " + what + ": " + part;
       }
       out.push_back(*value);
     }
-    return std::nullopt;
-  };
-}
-
-/// One positive integer.
-template <typename T>
-OptionSet::Parse store_count(T& out, std::string what) {
-  return [&out, what = std::move(what)](
-             const std::string& text) -> std::optional<std::string> {
-    const auto value = parse_count(text);
-    if (!value || *value == 0) {
-      return "bad " + what + ": " + text;
-    }
-    out = static_cast<T>(*value);
-    return std::nullopt;
-  };
-}
-
-/// One non-negative integer (seeds).
-template <typename T>
-OptionSet::Parse store_count_or_zero(T& out, std::string what) {
-  return [&out, what = std::move(what)](
-             const std::string& text) -> std::optional<std::string> {
-    const auto value = parse_count(text);
-    if (!value) {
-      return "bad " + what + ": " + text;
-    }
-    out = static_cast<T>(*value);
-    return std::nullopt;
-  };
-}
-
-/// One double (any value).
-inline OptionSet::Parse store_double(double& out, std::string what) {
-  return [&out, what = std::move(what)](
-             const std::string& text) -> std::optional<std::string> {
-    const auto value = parse_double(text);
-    if (!value) {
-      return "bad " + what + ": " + text;
-    }
-    out = *value;
-    return std::nullopt;
-  };
-}
-
-/// One strictly positive double.
-inline OptionSet::Parse store_positive_double(double& out, std::string what) {
-  return [&out, what = std::move(what)](
-             const std::string& text) -> std::optional<std::string> {
-    const auto value = parse_double(text);
-    if (!value || *value <= 0.0) {
-      return "bad " + what + ": " + text;
-    }
-    out = *value;
-    return std::nullopt;
-  };
-}
-
-/// One non-negative double.
-inline OptionSet::Parse store_nonnegative_double(double& out,
-                                                 std::string what) {
-  return [&out, what = std::move(what)](
-             const std::string& text) -> std::optional<std::string> {
-    const auto value = parse_double(text);
-    if (!value || *value < 0.0) {
-      return "bad " + what + ": " + text;
-    }
-    out = *value;
     return std::nullopt;
   };
 }
@@ -510,8 +451,8 @@ inline OptionSet::Parse store_string(std::string& out) {
 /// Worker-thread count: positive, with the "omit the flag" hint.
 inline OptionSet::Parse store_threads(std::size_t& out) {
   return [&out](const std::string& text) -> std::optional<std::string> {
-    const auto value = parse_count(text);
-    if (!value || *value == 0) {
+    const auto value = parse_number<std::size_t>(text, kPositive);
+    if (!value) {
       return "bad thread count: " + text +
              " (need a positive integer; omit the flag for "
              "hardware concurrency)";

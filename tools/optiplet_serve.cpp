@@ -110,8 +110,8 @@ link-budget transfer cost, reported as transfer counts and energy.)");
            "comma list of aggregate offered loads [requests/s]\n"
            "(default 200; split evenly over the tenants;\n"
            "open-loop only)",
-           cli::append_positive_doubles(grid.arrival_rates_rps,
-                                        "arrival rate"))
+           cli::append_numbers(grid.arrival_rates_rps, "arrival rate",
+                               cli::kPositive))
       .add("--policies", "LIST",
            "comma list of none|size|deadline|cont (default none;\n"
            "cont = continuous batching at token boundaries,\n"
@@ -138,12 +138,12 @@ link-budget transfer cost, reported as transfer counts and energy.)");
            "comma list of closed-loop users per tenant\n"
            "(default 16; implies --sources closed when\n"
            "--sources is not given)",
-           cli::append_counts(grid.user_counts, "user count"))
+           cli::append_numbers(grid.user_counts, "user count", cli::kPositive))
       .add("--think", "S",
            "closed-loop mean exponential think time [s]\n"
            "(default 1e-2)",
-           cli::store_nonnegative_double(grid.serving_defaults.think_s,
-                                         "think time"))
+           cli::store_number(grid.serving_defaults.think_s, "think time",
+                             cli::kNonNegative))
       .add("--admission", "LIST",
            "comma list of all|shed (default all; shed rejects\n"
            "arrivals whose predicted completion misses the SLA)",
@@ -165,23 +165,24 @@ link-budget transfer cost, reported as transfer counts and energy.)");
            "positive value switches transformer tenants to\n"
            "variable-length prefill/decode pricing (default 0 =\n"
            "fixed-shape requests)",
-           cli::append_counts(grid.prefill_token_counts, "prefill tokens"))
+           cli::append_numbers(grid.prefill_token_counts, "prefill tokens",
+                               cli::kPositive))
       .add("--decode-tokens", "LIST",
            "comma list of mean generated lengths [tokens]; 0 =\n"
            "pure prefill (default 0; requires --prefill-tokens)",
-           cli::append_counts_or_zero(grid.decode_token_counts,
-                                      "decode tokens"))
+           cli::append_numbers(grid.decode_token_counts, "decode tokens",
+                               cli::kNonNegative))
       .add("--token-spread", "X",
            "relative half-width of the per-request uniform\n"
            "token-length draw, in [0,1); 0 = every request uses\n"
            "the mean lengths exactly (default 0)",
-           cli::store_nonnegative_double(grid.serving_defaults.token_spread,
-                                         "token spread"))
+           cli::store_number(grid.serving_defaults.token_spread, "token spread",
+                             cli::kNonNegative))
       .add("--kv-cache-mb", "MB",
            "per-tenant KV-cache activation budget [MiB]; caps\n"
            "concurrent decode slots per package (default 256)",
-           cli::store_positive_double(grid.serving_defaults.kv_cache_mb,
-                                      "KV-cache budget"))
+           cli::store_number(grid.serving_defaults.kv_cache_mb,
+                             "KV-cache budget", cli::kPositive))
       .add("--elastics", "LIST",
            "comma list of elastic-operation policies as\n"
            "'/'-joined k=v codec strings (\"static\",\n"
@@ -203,19 +204,23 @@ link-budget transfer cost, reported as transfer counts and energy.)");
            })
       .add("--max-batch", "K",
            "batch bound for size/deadline/cont policies (default 8)",
-           cli::store_count(grid.serving_defaults.max_batch, "max batch"))
+           cli::store_number(grid.serving_defaults.max_batch, "max batch",
+                             cli::kPositive))
       .add("--max-wait", "S",
            "deadline policy: max queue wait [s] (default 1e-3)",
-           cli::store_nonnegative_double(grid.serving_defaults.max_wait_s,
-                                         "max wait"))
+           cli::store_number(grid.serving_defaults.max_wait_s, "max wait",
+                             cli::kNonNegative))
       .add("--requests", "N", "total arrivals across tenants (default 2000)",
-           cli::store_count(grid.serving_defaults.requests, "request count"))
+           cli::store_number(grid.serving_defaults.requests, "request count",
+                             cli::kPositive))
       .add("--seed", "S", "arrival-process seed (default 42)",
-           cli::store_count_or_zero(grid.serving_defaults.seed, "seed"))
+           cli::store_number(grid.serving_defaults.seed, "seed",
+                             cli::kNonNegative))
       .add("--sla", "S",
            "latency SLA [s]; 0 derives 10x the batch-1 service\n"
            "time per tenant (default 0)",
-           cli::store_nonnegative_double(grid.serving_defaults.sla_s, "SLA"))
+           cli::store_number(grid.serving_defaults.sla_s, "SLA",
+                             cli::kNonNegative))
       .add("--trace", "FILE",
            "replay a CSV arrival trace (arrival_s[,tenant])\n"
            "instead of Poisson arrivals (see optiplet_tracegen)",
@@ -224,7 +229,8 @@ link-budget transfer cost, reported as transfer counts and energy.)");
            "comma list of rack package counts; giving it makes\n"
            "every scenario a rack and enables the flags below\n"
            "up to --link-wavelengths (default: one lone package)",
-           cli::append_counts(grid.package_counts, "package count"))
+           cli::append_numbers(grid.package_counts, "package count",
+                               cli::kPositive))
       .add("--balancers", "LIST",
            "comma list of rr|least|locality (default locality)",
            rack_only("--balancers",
@@ -236,8 +242,8 @@ link-budget transfer cost, reported as transfer counts and energy.)");
            "comma list of replicas per tenant, each clamped to\n"
            "the package count (default 1)",
            rack_only("--replication",
-                     cli::append_counts(grid.replication_factors,
-                                        "replication factor")))
+                     cli::append_numbers(grid.replication_factors,
+                                         "replication factor", cli::kPositive)))
       .add("--replication-mix", "M",
            "'+'-joined per-tenant replication factors aligned\n"
            "with --tenants (e.g. 1+2); overrides --replication",
@@ -248,14 +254,14 @@ link-budget transfer cost, reported as transfer counts and energy.)");
            "board-level link length between packages [m]\n"
            "(default 0.25)",
            rack_only("--link-length",
-                     cli::store_positive_double(
-                         grid.cluster_defaults.link_length_m,
-                         "link length")))
+                     cli::store_number(grid.cluster_defaults.link_length_m,
+                                       "link length", cli::kPositive)))
       .add("--link-wavelengths", "N",
            "WDM channels per inter-package link (default 16)",
            rack_only("--link-wavelengths",
-                     cli::store_count(grid.cluster_defaults.link_wavelengths,
-                                      "link wavelength count")))
+                     cli::store_number(grid.cluster_defaults.link_wavelengths,
+                                       "link wavelength count",
+                                       cli::kPositive)))
       .add("--arch", "NAME", "mono|elec|siph (default siph)",
            cli::store_choice(arch, engine::architecture_from_string,
                              "architecture", "mono, elec, siph"))
@@ -281,8 +287,8 @@ link-budget transfer cost, reported as transfer counts and energy.)");
       .add("--snapshot-period", "S",
            "sim-time between metric snapshots [s] (default:\n"
            "~64 snapshots across the arrival span)",
-           cli::store_positive_double(snapshot_period_s,
-                                      "snapshot period"))
+           cli::store_number(snapshot_period_s, "snapshot period",
+                             cli::kPositive))
       .add("--curve-out", "FILE",
            "also run the first scenario and write its\n"
            "energy-per-request / carbon day curve as CSV\n"

@@ -28,7 +28,6 @@
 namespace {
 
 using namespace optiplet;
-using cli::join;
 using cli::parse_double;
 using cli::split;
 
@@ -36,40 +35,29 @@ using cli::split;
 /// each run, but unreachable from the CLI before this flag existed).
 bool write_per_layer_csv(const std::string& path,
                          const engine::ResultStore& store) {
-  util::CsvWriter csv(path,
-                      {"model", "architecture", "batch_size", "wavelengths",
-                       "gateways_per_chiplet", "modulation", "fidelity",
-                       "overrides", "layer_index", "group", "chiplets_used",
-                       "compute_s", "read_s", "write_s", "overhead_s",
-                       "total_s", "gateways_active"});
+  std::vector<std::string> header = engine::ResultStore::spec_header();
+  header.insert(header.end(),
+                {"layer_index", "group", "chiplets_used", "compute_s",
+                 "read_s", "write_s", "overhead_s", "total_s",
+                 "gateways_active"});
+  util::CsvWriter csv(path, header);
   if (!csv.ok()) {
     return false;
   }
-  const auto overrides_cell = [](const engine::ScenarioSpec& spec) {
-    std::vector<std::string> parts;
-    for (const auto& [name, value] : spec.overrides) {
-      parts.push_back(name + "=" + util::format_general(value));
-    }
-    return join(parts, " ");
-  };
   for (const auto& r : store.results()) {
+    const auto spec = engine::ResultStore::spec_cells(r.spec);
     for (const auto& layer : r.run.layers) {
-      csv.add_row({r.spec.model, accel::to_string(r.spec.arch),
-                   std::to_string(r.spec.batch_size),
-                   std::to_string(r.spec.wavelengths),
-                   std::to_string(r.spec.gateways_per_chiplet),
-                   photonics::to_string(r.spec.modulation),
-                   core::to_string(r.spec.fidelity),
-                   overrides_cell(r.spec),
-                   std::to_string(layer.layer_index),
-                   accel::to_string(layer.group),
-                   std::to_string(layer.chiplets_used),
-                   util::format_general(layer.compute_s),
-                   util::format_general(layer.read_s),
-                   util::format_general(layer.write_s),
-                   util::format_general(layer.overhead_s),
-                   util::format_general(layer.total_s),
-                   std::to_string(layer.gateways_per_chiplet)});
+      std::vector<std::string> row = spec;
+      row.insert(row.end(), {std::to_string(layer.layer_index),
+                             accel::to_string(layer.group),
+                             std::to_string(layer.chiplets_used),
+                             util::format_general(layer.compute_s),
+                             util::format_general(layer.read_s),
+                             util::format_general(layer.write_s),
+                             util::format_general(layer.overhead_s),
+                             util::format_general(layer.total_s),
+                             std::to_string(layer.gateways_per_chiplet)});
+      csv.add_row(row);
     }
   }
   return true;
@@ -118,11 +106,13 @@ divisible by gateways; SiPh link budget that cannot close) are skipped.)");
                                         "mono, elec, siph, all")(value);
            })
       .add("--batch-sizes", "LIST", "comma list of batch sizes",
-           cli::append_counts(grid.batch_sizes, "batch size"))
+           cli::append_numbers(grid.batch_sizes, "batch size", cli::kPositive))
       .add("--wavelengths", "LIST", "comma list of WDM channel counts",
-           cli::append_counts(grid.wavelengths, "wavelength count"))
+           cli::append_numbers(grid.wavelengths, "wavelength count",
+                               cli::kPositive))
       .add("--gateways", "LIST", "comma list of gateways per chiplet",
-           cli::append_counts(grid.gateways_per_chiplet, "gateway count"))
+           cli::append_numbers(grid.gateways_per_chiplet, "gateway count",
+                               cli::kPositive))
       .add("--modulations", "LIST", "comma list of ook|pam4",
            cli::append_choices(grid.modulations,
                                engine::modulation_from_string, "modulation",
