@@ -58,18 +58,15 @@ void ComputeChiplet::build_bus_budget() {
                        10.0 * std::log10(u));
   bus_budget_.add_loss("weight bank insertion",
                        ct.weight_bank_insertion_db);
-}
 
-double ComputeChiplet::laser_power_per_wavelength_w() const {
   const photonics::Photodetector pd(tech_.photonic.photodetector);
   // The PD integrates one symbol per dot product; its sensitivity is taken
   // at the symbol rate, plus the analog-precision penalty (multi-level
   // amplitudes need a cleaner eye than OOK).
-  const double sensitivity_dbm =
-      pd.sensitivity_dbm(tech_.compute.mac_symbol_rate_hz);
-  return bus_budget_.required_laser_power_w(
-      sensitivity_dbm + tech_.compute.analog_precision_penalty_db,
-      /*crosstalk_penalty_db=*/0.5, tech_.compute.compute_margin_db);
+  const double sensitivity_dbm = pd.sensitivity_dbm(ct.mac_symbol_rate_hz);
+  laser_power_per_wavelength_w_ = bus_budget_.required_laser_power_w(
+      sensitivity_dbm + ct.analog_precision_penalty_db,
+      /*crosstalk_penalty_db=*/0.5, ct.compute_margin_db);
 }
 
 double ComputeChiplet::laser_electrical_power_w() const {

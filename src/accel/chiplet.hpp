@@ -60,8 +60,11 @@ class ComputeChiplet {
     return bus_budget_;
   }
 
-  /// Required laser optical power per wavelength per bus [W].
-  [[nodiscard]] double laser_power_per_wavelength_w() const;
+  /// Required laser optical power per wavelength per bus [W]. Depends only
+  /// on the design and technology, so it is priced at construction.
+  [[nodiscard]] double laser_power_per_wavelength_w() const {
+    return laser_power_per_wavelength_w_;
+  }
 
   /// Electrical laser power for the whole chiplet while computing [W]
   /// (all buses, S wavelengths each, wall-plug + TEC).
@@ -89,6 +92,7 @@ class ComputeChiplet {
   power::TechParams tech_;
   PhotonicMacUnit unit_;
   photonics::LinkBudget bus_budget_;
+  double laser_power_per_wavelength_w_ = 0.0;
 };
 
 }  // namespace optiplet::accel

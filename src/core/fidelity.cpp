@@ -72,8 +72,10 @@ bool is_sampling_knob(std::string_view name) {
 bool apply_knob(FidelitySpec& spec, std::string_view name,
                 std::string_view value) {
   if (name == "windows" || name == "w") {
+    // windows=0 would be the analytical run under a second key, so the
+    // memo cache would simulate it twice; spell it "analytical" instead.
     const auto v = parse_u64(value);
-    if (!v || *v > 1u << 20) {
+    if (!v || *v == 0 || *v > 1u << 20) {
       return false;
     }
     spec.windows = static_cast<unsigned>(*v);

@@ -99,7 +99,8 @@ struct FidelitySpec {
 /// aliases "tlm" (analytical) and "cycle-accurate" (cycle), and
 /// "sampled[:knob=value,...]" with knobs windows/w, layers/l, seed/s,
 /// conf/confidence (unset knobs keep their defaults). nullopt on unknown
-/// names, unknown knobs, or out-of-range values.
+/// names, unknown knobs, or out-of-range values (windows and layers must
+/// be >= 1, conf in (0, 1)).
 [[nodiscard]] std::optional<FidelitySpec> fidelity_from_string(
     std::string_view name);
 

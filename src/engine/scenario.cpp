@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 #include "dnn/registry.hpp"
@@ -17,11 +19,15 @@ namespace {
 struct OverrideEntry {
   const char* name;
   void (*set)(core::SystemConfig&, double);
+  /// 0 for a real-valued field; otherwise the width in bits of the
+  /// unsigned integer field, whose values must be whole numbers in
+  /// [0, 2^bits) so the setter's cast is exact and defined.
+  int integral_bits = 0;
 };
 
 /// Registry of sweepable SystemConfig fields, sorted by name. Values are
-/// doubles; integral fields round via static_cast after a range check is
-/// left to OPTIPLET_REQUIRE in the consumers.
+/// doubles; integral fields take only whole numbers that fit (see
+/// check_override_value).
 constexpr std::array<OverrideEntry, 12> kOverrides{{
     {"idle_power_fraction",
      [](core::SystemConfig& c, double v) { c.idle_power_fraction = v; }},
@@ -38,11 +44,13 @@ constexpr std::array<OverrideEntry, 12> kOverrides{{
     {"monolithic_onchip_buffer_bits",
      [](core::SystemConfig& c, double v) {
        c.monolithic_onchip_buffer_bits = static_cast<std::uint64_t>(v);
-     }},
+     },
+     std::numeric_limits<std::uint64_t>::digits},
     {"parameter_bits",
      [](core::SystemConfig& c, double v) {
        c.parameter_bits = static_cast<unsigned>(v);
-     }},
+     },
+     std::numeric_limits<unsigned>::digits},
     {"photonic.data_rate_per_wavelength_bps",
      [](core::SystemConfig& c, double v) {
        c.photonic.data_rate_per_wavelength_bps = v;
@@ -60,24 +68,49 @@ constexpr std::array<OverrideEntry, 12> kOverrides{{
     {"resipi.min_active_gateways",
      [](core::SystemConfig& c, double v) {
        c.resipi.min_active_gateways = static_cast<std::size_t>(v);
-     }},
+     },
+     std::numeric_limits<std::size_t>::digits},
     {"resipi.target_utilization",
      [](core::SystemConfig& c, double v) {
        c.resipi.target_utilization = v;
      }},
 }};
 
+const OverrideEntry* find_override(const std::string& name) {
+  for (const auto& entry : kOverrides) {
+    if (name == entry.name) {
+      return &entry;
+    }
+  }
+  return nullptr;
+}
+
+/// Throws, naming the key, when `value` does not fit an integral field: a
+/// fraction would be truncated under a key that still spells it, and a
+/// negative or oversized value makes the cast undefined.
+void check_override_value(const OverrideEntry& entry, double value) {
+  if (entry.integral_bits == 0) {
+    return;
+  }
+  const bool fits = value >= 0.0 && value == std::floor(value) &&
+                    value < std::ldexp(1.0, entry.integral_bits);
+  OPTIPLET_REQUIRE(fits, std::string("override ") + entry.name + "=" +
+                             util::format_general(value) +
+                             " must be a whole number in [0, 2^" +
+                             std::to_string(entry.integral_bits) + ")");
+}
+
 }  // namespace
 
 bool apply_override(core::SystemConfig& config, const std::string& name,
                     double value) {
-  for (const auto& entry : kOverrides) {
-    if (name == entry.name) {
-      entry.set(config, value);
-      return true;
-    }
+  const OverrideEntry* entry = find_override(name);
+  if (entry == nullptr) {
+    return false;
   }
-  return false;
+  check_override_value(*entry, value);
+  entry->set(config, value);
+  return true;
 }
 
 std::vector<std::string> override_keys() {
@@ -373,14 +406,16 @@ std::vector<ScenarioSpec> ScenarioGrid::expand(
       architectures.empty()
           ? std::vector<accel::Architecture>{accel::Architecture::kSiph2p5D}
           : architectures;
-  const auto keys = override_keys();
   for (std::size_t i = 0; i < override_axes.size(); ++i) {
     const auto& [name, values] = override_axes[i];
-    OPTIPLET_REQUIRE(
-        std::find(keys.begin(), keys.end(), name) != keys.end(),
-        "unknown SystemConfig override key: " + name);
+    const OverrideEntry* entry = find_override(name);
+    OPTIPLET_REQUIRE(entry != nullptr,
+                     "unknown SystemConfig override key: " + name);
     OPTIPLET_REQUIRE(!values.empty(),
                      "empty override axis for key: " + name);
+    for (const double value : values) {
+      check_override_value(*entry, value);
+    }
     for (std::size_t j = 0; j < i; ++j) {
       OPTIPLET_REQUIRE(override_axes[j].first != name,
                        "duplicate override axis for key: " + name);

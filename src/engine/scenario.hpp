@@ -79,7 +79,10 @@ struct ScenarioSpec {
 };
 
 /// Apply one named override to a configuration. Returns false when `name`
-/// is not a registered override key.
+/// is not a registered override key; throws std::invalid_argument, naming
+/// the key, when an integral key (parameter_bits,
+/// monolithic_onchip_buffer_bits, resipi.min_active_gateways) gets a value
+/// that is not a whole number its field can hold.
 bool apply_override(core::SystemConfig& config, const std::string& name,
                     double value);
 
@@ -163,7 +166,8 @@ struct ScenarioGrid {
   /// override axes, architecture, model — so a fixed interposer shape
   /// yields a contiguous (architecture-major, model-minor) block, the
   /// layout the benches consume. Throws std::invalid_argument for unknown
-  /// override keys, unknown model names or unparseable elastic policies.
+  /// override keys, integral override values their field cannot hold,
+  /// unknown model names or unparseable elastic policies.
   [[nodiscard]] std::vector<ScenarioSpec> expand(
       const core::SystemConfig& base) const;
 };

@@ -105,6 +105,17 @@ void PhotonicInterposer::build_budgets() {
   swsr_crosstalk_db_ = photonics::LinkBudget::crosstalk_penalty_db(
       memory_gateway_.mrg().reference_ring(), grid_,
       grid_.channel_count() / 2, wavelengths_per_gateway());
+
+  // PD noise scales with the symbol rate; multi-level formats then add
+  // their eye-closure penalty on top.
+  const double sensitivity_dbm =
+      photonics::Photodetector(tech_.photodetector)
+          .sensitivity_dbm(config_.data_rate_per_wavelength_bps) +
+      photonics::receiver_penalty_db(config_.modulation);
+  swmr_laser_w_ = swmr_budget_.required_laser_power_w(
+      sensitivity_dbm, swmr_crosstalk_db_, tech_.system_margin_db);
+  swsr_laser_w_ = swsr_budget_.required_laser_power_w(
+      sensitivity_dbm, swsr_crosstalk_db_, tech_.system_margin_db);
 }
 
 std::size_t PhotonicInterposer::wavelengths_per_gateway() const {
@@ -159,26 +170,6 @@ bool PhotonicInterposer::link_budget_feasible(double max_loss_db) const {
   }
   return swmr_budget_.total_loss_db() + swmr_crosstalk_db_ <= max_loss_db &&
          swsr_budget_.total_loss_db() + swsr_crosstalk_db_ <= max_loss_db;
-}
-
-double PhotonicInterposer::swmr_laser_power_per_wavelength_w() const {
-  // PD noise scales with the symbol rate; multi-level formats then add
-  // their eye-closure penalty on top.
-  const double sensitivity_dbm =
-      photonics::Photodetector(tech_.photodetector)
-          .sensitivity_dbm(config_.data_rate_per_wavelength_bps) +
-      photonics::receiver_penalty_db(config_.modulation);
-  return swmr_budget_.required_laser_power_w(
-      sensitivity_dbm, swmr_crosstalk_db_, tech_.system_margin_db);
-}
-
-double PhotonicInterposer::swsr_laser_power_per_wavelength_w() const {
-  const double sensitivity_dbm =
-      photonics::Photodetector(tech_.photodetector)
-          .sensitivity_dbm(config_.data_rate_per_wavelength_bps) +
-      photonics::receiver_penalty_db(config_.modulation);
-  return swsr_budget_.required_laser_power_w(
-      sensitivity_dbm, swsr_crosstalk_db_, tech_.system_margin_db);
 }
 
 double PhotonicInterposer::laser_electrical_power_w(

@@ -106,10 +106,14 @@ class PhotonicInterposer {
   [[nodiscard]] bool link_budget_feasible(double max_loss_db = 45.0) const;
 
   /// Required on-chip optical power per wavelength for the broadcast [W].
-  [[nodiscard]] double swmr_laser_power_per_wavelength_w() const;
+  [[nodiscard]] double swmr_laser_power_per_wavelength_w() const {
+    return swmr_laser_w_;
+  }
 
   /// Required optical power per wavelength for one write path [W].
-  [[nodiscard]] double swsr_laser_power_per_wavelength_w() const;
+  [[nodiscard]] double swsr_laser_power_per_wavelength_w() const {
+    return swsr_laser_w_;
+  }
 
   /// Electrical laser power with the given active configuration [W]:
   /// the memory broadcast keeps `active_broadcast_wavelengths` channels lit
@@ -162,6 +166,10 @@ class PhotonicInterposer {
   photonics::LinkBudget swsr_budget_;
   double swmr_crosstalk_db_ = 0.0;
   double swsr_crosstalk_db_ = 0.0;
+  // Per-wavelength laser powers depend only on the configuration, so
+  // build_budgets() prices them once; per-layer power queries read them.
+  double swmr_laser_w_ = 0.0;
+  double swsr_laser_w_ = 0.0;
 };
 
 }  // namespace optiplet::noc

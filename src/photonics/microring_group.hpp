@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "photonics/microring.hpp"
 #include "photonics/wavelength.hpp"
@@ -43,7 +42,7 @@ class MicroringGroup {
   MicroringGroup(const MicroringGroupConfig& config, const WdmGrid& grid,
                  std::size_t channel_offset);
 
-  [[nodiscard]] std::size_t ring_count() const;
+  [[nodiscard]] std::size_t ring_count() const { return ring_count_; }
   [[nodiscard]] std::size_t modulator_count() const;
   [[nodiscard]] std::size_t filter_count() const;
   [[nodiscard]] std::size_t wavelengths_per_row() const {
@@ -52,7 +51,10 @@ class MicroringGroup {
 
   /// Static tuning power to hold every ring on its channel [W]. Scales with
   /// the ring count; the dominant MRG overhead in ReSiPI's power model.
-  [[nodiscard]] double static_tuning_power_w() const;
+  /// Depends only on the configuration, so it is folded at construction.
+  [[nodiscard]] double static_tuning_power_w() const {
+    return static_tuning_power_w_;
+  }
 
   /// Modulation energy for `bits` sent through the modulator row(s) [J].
   [[nodiscard]] double modulation_energy_j(std::uint64_t bits) const;
@@ -68,17 +70,20 @@ class MicroringGroup {
   /// Drop loss experienced by the wavelength a filter ring extracts [dB].
   [[nodiscard]] double drop_loss_db() const;
 
-  /// Representative ring (all rings share a design; exposed for tests and
-  /// crosstalk computation).
+  /// Representative ring, tuned to the row's first channel. All rings share
+  /// one design and tuning, so the group stores this ring and a count
+  /// rather than one object per row-wavelength.
   [[nodiscard]] const MicroringResonator& reference_ring() const {
-    return rings_.front();
+    return reference_;
   }
 
   [[nodiscard]] const MicroringGroupConfig& config() const { return config_; }
 
  private:
   MicroringGroupConfig config_;
-  std::vector<MicroringResonator> rings_;  // one per row-wavelength
+  MicroringResonator reference_;
+  std::size_t ring_count_;  // rows x wavelengths per row
+  double static_tuning_power_w_;
 };
 
 }  // namespace optiplet::photonics

@@ -35,9 +35,21 @@ double EnergyLedger::energy_per_bit_j(double duration_s,
 }
 
 void EnergyLedger::merge(const EnergyLedger& other) {
+  // Merge-join: both maps are sorted by category, so one forward walk of
+  // this ledger finds every match or insertion point. A self-merge sees
+  // only matches, so nothing is inserted while `other` is walked.
+  auto it = entries_.begin();
   for (const auto& [name, entry] : other.entries_) {
-    entries_[name].dynamic_energy_j += entry.dynamic_energy_j;
-    entries_[name].static_power_w += entry.static_power_w;
+    int order = 1;  // stays non-zero unless `it` lands on `name`
+    while (it != entries_.end() && (order = it->first.compare(name)) < 0) {
+      ++it;
+    }
+    if (order != 0) {
+      it = entries_.emplace_hint(it, name, EnergyEntry{});
+    }
+    it->second.dynamic_energy_j += entry.dynamic_energy_j;
+    it->second.static_power_w += entry.static_power_w;
+    ++it;
   }
 }
 

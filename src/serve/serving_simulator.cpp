@@ -697,9 +697,9 @@ struct Engine {
     std::vector<ServiceTimeOracle::Tenant> oracle_tenants;
     oracle_tenants.reserve(tenants.size());
     for (std::size_t t = 0; t < tenants.size(); ++t) {
-      ServiceTimeOracle::Tenant ot{base_models[t], config.system};
+      ServiceTimeOracle::Tenant ot{base_models[t], config.system,
+                                   oracle->transformer(t)};
       ot.config.compute_2p5d = next->tenants[t].platform;
-      ot.transformer = oracle->transformer(t);
       oracle_tenants.push_back(std::move(ot));
     }
     gen_oracles.push_back(std::make_unique<ServiceTimeOracle>(
@@ -908,7 +908,7 @@ struct Engine {
     TenantState& ts = tenants[t];
     const double now = events.now();
     first_arrival_s = std::min(first_arrival_s, now);
-    Request request{ts.next_id++, now};
+    Request request{ts.next_id++, now, {}};
     if (ts.var_length) {
       // Replayed shapes are consumed in arrival-event order; rows without
       // token columns (and synthetic arrivals) draw around the means.
@@ -1785,14 +1785,14 @@ ColocatedSetup make_colocated_setup(const core::SystemConfig& system,
   // Service-time oracle: each tenant simulates on its own partition.
   setup.oracle_tenants.reserve(model_names.size());
   for (std::size_t t = 0; t < model_names.size(); ++t) {
-    ServiceTimeOracle::Tenant ot{setup.models[t], system};
+    // Transformer models carry their spec so the oracle can price
+    // variable-length phases (prefill/decode graphs per token count).
+    ServiceTimeOracle::Tenant ot{
+        setup.models[t], system,
+        dnn::ModelRegistry::instance().at(model_names[t]).transformer};
     if (!monolithic) {
       ot.config.compute_2p5d = setup.plan.tenants[t].platform;
     }
-    // Transformer models carry their spec so the oracle can price
-    // variable-length phases (prefill/decode graphs per token count).
-    ot.transformer =
-        dnn::ModelRegistry::instance().at(model_names[t]).transformer;
     setup.oracle_tenants.push_back(std::move(ot));
   }
   return setup;

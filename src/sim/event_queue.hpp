@@ -6,9 +6,9 @@
 /// insertion order (a monotone sequence number breaks ties), which keeps the
 /// system simulator deterministic.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/require.hpp"
@@ -24,7 +24,8 @@ class EventQueue {
   /// Schedule `cb` at absolute time `t` (seconds); t must not precede now().
   void schedule_at(double t, Callback cb) {
     OPTIPLET_REQUIRE(t >= now_, "cannot schedule in the past");
-    heap_.push(Entry{t, next_seq_++, std::move(cb)});
+    heap_.push_back(Entry{t, next_seq_++, std::move(cb)});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     if (heap_.size() > peak_size_) {
       peak_size_ = heap_.size();
     }
@@ -51,9 +52,11 @@ class EventQueue {
     if (heap_.empty()) {
       return false;
     }
-    // Copy out before pop so the callback may schedule new events.
-    Entry e = heap_.top();
-    heap_.pop();
+    // Move out before running so the callback may schedule new events;
+    // moving (not copying) skips duplicating the callback's captures.
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    Entry e = std::move(heap_.back());
+    heap_.pop_back();
     now_ = e.time;
     ++processed_;
     e.cb();
@@ -83,7 +86,7 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  std::vector<Entry> heap_;  // binary min-heap under std::greater<>
   std::uint64_t next_seq_ = 0;
   double now_ = 0.0;
   std::uint64_t processed_ = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace optiplet::accel {
@@ -52,6 +53,23 @@ TEST(Chiplet, MoreUnitsPerBusMoreLoss) {
             normal.bus_budget().total_loss_db());
   EXPECT_GT(crowded.laser_power_per_wavelength_w(),
             normal.laser_power_per_wavelength_w());
+}
+
+TEST(Chiplet, StoredLaserPowerEqualsItsRecomputation) {
+  // Priced once at construction: the stored figure must be exactly what
+  // the bus budget and a fresh photodetector give.
+  const auto tech = power::default_tech();
+  for (const std::uint32_t per_bus : {1u, 11u, 22u}) {
+    ChipletDesign d = conv3_design();
+    d.units_per_bus = per_bus;
+    const ComputeChiplet c(d, tech);
+    const photonics::Photodetector pd(tech.photonic.photodetector);
+    const double expected = c.bus_budget().required_laser_power_w(
+        pd.sensitivity_dbm(tech.compute.mac_symbol_rate_hz) +
+            tech.compute.analog_precision_penalty_db,
+        /*crosstalk_penalty_db=*/0.5, tech.compute.compute_margin_db);
+    EXPECT_EQ(c.laser_power_per_wavelength_w(), expected) << per_bus;
+  }
 }
 
 TEST(Chiplet, LongerPathsMoreLaserPower) {

@@ -75,6 +75,10 @@ TEST(FidelitySpec, RejectsMalformedSpellings) {
   EXPECT_FALSE(fidelity_from_string("sampled:windows").has_value());
   EXPECT_FALSE(fidelity_from_string("sampled:bogus=1").has_value());
   EXPECT_FALSE(fidelity_from_string("sampled:layers=0").has_value());
+  // windows=0 is the analytical run; accepting it would give that run a
+  // second memo key.
+  EXPECT_FALSE(fidelity_from_string("sampled:windows=0").has_value());
+  EXPECT_FALSE(fidelity_from_string("sampled:w=0,seed=3").has_value());
   EXPECT_FALSE(fidelity_from_string("sampled:conf=1.5").has_value());
   // Knobs only exist on the sampled mode.
   EXPECT_FALSE(fidelity_from_string("analytical:windows=4").has_value());

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace optiplet::engine {
@@ -225,6 +226,47 @@ TEST(ScenarioGrid, UnknownModelIsNamedOnBothModelAxes) {
   mixes.tenant_mixes = {"LeNet5", "LeNet5+AlexNet"};
   EXPECT_NE(expand_error(mixes).find("unknown model name: AlexNet"),
             std::string::npos);
+}
+
+TEST(ScenarioGrid, IntegralOverridesRejectValuesTheirFieldCannotHold) {
+  // A fraction would be truncated under a key that still spells it, and a
+  // negative or oversized value would reach an undefined cast.
+  const std::vector<std::pair<std::string, double>> bad = {
+      {"parameter_bits", 2.7},
+      {"parameter_bits", -1.0},
+      {"parameter_bits", 4294967296.0},
+      {"monolithic_onchip_buffer_bits", 0.5},
+      {"monolithic_onchip_buffer_bits", 18446744073709551616.0},
+      {"resipi.min_active_gateways", -1.0},
+      {"resipi.min_active_gateways", 1.5},
+  };
+  for (const auto& [key, value] : bad) {
+    SCOPED_TRACE(key + "=" + std::to_string(value));
+    ScenarioGrid grid;
+    grid.models = {"LeNet5"};
+    // The bad value is not the first on its axis: expand() checks every
+    // value before it builds any spec.
+    grid.override_axes = {{key, {1.0, value}}};
+    const std::string error = expand_error(grid);
+    EXPECT_NE(error.find("override " + key + "="), std::string::npos)
+        << error;
+    core::SystemConfig cfg = core::default_system_config();
+    EXPECT_THROW(apply_override(cfg, key, value), std::invalid_argument);
+  }
+}
+
+TEST(ScenarioGrid, IntegralOverridesAcceptWholeNumbers) {
+  ScenarioGrid grid;
+  grid.models = {"LeNet5"};
+  grid.override_axes = {{"parameter_bits", {4.0, 8.0}},
+                        {"resipi.min_active_gateways", {0.0, 2.0}}};
+  EXPECT_EQ(grid.expand(core::default_system_config()).size(), 4u);
+  core::SystemConfig cfg = core::default_system_config();
+  ASSERT_TRUE(apply_override(cfg, "monolithic_onchip_buffer_bits",
+                             4294967296.0));
+  EXPECT_EQ(cfg.monolithic_onchip_buffer_bits, 4294967296ULL);
+  // Real-valued keys keep taking fractions.
+  EXPECT_TRUE(apply_override(cfg, "resipi.target_utilization", 0.75));
 }
 
 TEST(ScenarioGrid, RejectsDuplicateOverrideAxes) {

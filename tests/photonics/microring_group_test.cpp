@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <stdexcept>
+#include <utility>
 
 #include "util/units.hpp"
 
@@ -47,6 +50,32 @@ TEST(MicroringGroup, StaticTuningPowerScalesWithRings) {
   // Per-ring power identical: totals proportional to ring counts.
   EXPECT_NEAR(m_big.static_tuning_power_w() / m_big.ring_count(),
               m_small.static_tuning_power_w() / m_small.ring_count(), 1e-12);
+}
+
+TEST(MicroringGroup, StaticTuningPowerIsThePerRingTermFoldedRingByRing) {
+  // The group stores one reference ring; its folded hold power must equal
+  // a ring-by-ring sum exactly, for the compute gateway's MRG and for the
+  // Table-1 memory gateway's 33 x 64 rings.
+  const WdmGrid grid = make_cband_grid(64);
+  MicroringGroupConfig memory;
+  memory.wavelengths_per_row = 64;
+  memory.modulator_rows = 1;
+  memory.filter_rows = 32;
+  for (const auto& [config, offset] :
+       {std::pair{compute_mrg_config(), std::size_t{16}},
+        std::pair{memory, std::size_t{0}}}) {
+    const MicroringGroup mrg(config, grid, offset);
+    const MicroringTuning& tuning = config.ring_tuning;
+    const double per_ring =
+        std::max(0.0, 0.4 * units::nm - tuning.eo_range_m) /
+            tuning.to_efficiency_m_per_w +
+        tuning.driver_static_w;
+    double folded = 0.0;
+    for (std::size_t r = 0; r < mrg.ring_count(); ++r) {
+      folded += per_ring;
+    }
+    EXPECT_EQ(mrg.static_tuning_power_w(), folded) << mrg.ring_count();
+  }
 }
 
 TEST(MicroringGroup, PerRingTuningPowerInMilliwattClass) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -101,6 +102,69 @@ TEST(EventQueue, TracksPeakSize) {
   EXPECT_EQ(q.peak_size(), 3u);
   q.schedule_at(4.0, [] {});
   EXPECT_EQ(q.peak_size(), 3u);
+}
+
+/// A callback that counts its own copies. Its move constructor is
+/// noexcept, so moving the std::function that holds it never copies it;
+/// only copying the std::function does.
+struct CopyCounting {
+  int* copies;
+  std::vector<int>* order;
+  int id;
+
+  CopyCounting(int* c, std::vector<int>* o, int i)
+      : copies(c), order(o), id(i) {}
+  CopyCounting(const CopyCounting& other)
+      : copies(other.copies), order(other.order), id(other.id) {
+    ++*copies;
+  }
+  CopyCounting(CopyCounting&&) noexcept = default;
+
+  void operator()() const { order->push_back(id); }
+};
+
+TEST(EventQueue, StepMovesCallbacksWithoutCopying) {
+  EventQueue q;
+  int copies = 0;
+  std::vector<int> order;
+  for (int i = 0; i < 32; ++i) {
+    q.schedule_at(static_cast<double>(31 - i),
+                  CopyCounting(&copies, &order, i));
+  }
+  EXPECT_EQ(copies, 0);
+  q.run();
+  EXPECT_EQ(copies, 0);
+  ASSERT_EQ(order.size(), 32u);
+  EXPECT_EQ(order.front(), 31);
+  EXPECT_EQ(order.back(), 0);
+}
+
+TEST(EventQueue, EqualTimesStayFifoAcrossInterleavedSchedulesAndSteps) {
+  EventQueue q;
+  int copies = 0;
+  std::vector<int> order;
+  const auto at = [&](double t, int id) {
+    q.schedule_at(t, CopyCounting(&copies, &order, id));
+  };
+  at(1.0, 0);
+  at(2.0, 100);
+  at(1.0, 1);
+  at(1.0, 2);
+  ASSERT_TRUE(q.step());  // runs 0
+  at(1.0, 3);
+  at(1.0, 4);
+  ASSERT_TRUE(q.step());  // runs 1
+  at(2.0, 101);
+  ASSERT_TRUE(q.step());  // runs 2
+  at(1.0, 5);
+  // An event a callback schedules for its own time runs after every
+  // event already queued for that time.
+  q.schedule_at(1.0, [&] { at(1.0, 6); });
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 100, 101}));
+  EXPECT_EQ(copies, 0);
+  EXPECT_EQ(q.processed(), 10u);
+  EXPECT_EQ(q.peak_size(), 6u);
 }
 
 TEST(EventQueue, SelfPerpetuatingChainBounded) {

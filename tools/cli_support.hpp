@@ -491,7 +491,8 @@ inline OptionSet::Parse append_fidelities(
       if (!spec) {
         return "unknown fidelity: " + name +
                " (valid: analytical, cycle, "
-               "sampled[:windows=W,layers=L,seed=S,conf=C])";
+               "sampled[:windows=W,layers=L,seed=S,conf=C] with "
+               "windows and layers >= 1, 0 < conf < 1)";
       }
       out.push_back(*spec);
     }
