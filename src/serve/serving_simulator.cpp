@@ -29,29 +29,49 @@ constexpr std::size_t kNoTenant = static_cast<std::size_t>(-1);
 
 /// One pipeline stage resolved against the engine's resource table:
 /// a maximal run of consecutive layers whose chiplet group maps to one
-/// exclusive resource (an owned group, or the shared-serial pool).
+/// exclusive resource (an owned group, or the shared-serial pool). A stage
+/// with layer_count 0 is a whole batch — the one stage of its chain.
 struct ExecStage {
+  /// A whole batch locks the shared pool when `shared` and nothing
+  /// otherwise (its owned chiplets serve only its tenant).
   std::size_t resource = 0;
   bool shared = false;
   /// Prefix offsets within the batch (see serve::PipelineStage): an
-  /// unstalled chain telescopes exactly to the batch-granular end time.
+  /// unstalled chain telescopes exactly to the whole-batch end time.
   double start_offset_s = 0.0;
   double end_offset_s = 0.0;
   std::size_t first_layer = 0;
   std::size_t layer_count = 0;
+
+  [[nodiscard]] bool whole_batch() const { return layer_count == 0; }
+  /// Every layer stage locks its group; a whole batch only the shared pool.
+  [[nodiscard]] bool locks() const { return shared || !whole_batch(); }
 };
 
-/// One batch advancing through its stage chain in layer-granular mode.
+/// One batch advancing through its stage chain.
 struct InFlightBatch {
   std::size_t tenant = 0;
   std::uint64_t id = 0;  ///< per-tenant dispatch sequence
   std::vector<Request> requests;
-  const std::vector<ExecStage>* stages = nullptr;  ///< engine-cached
+  /// Engine-cached layer chain, or a static one-stage whole-batch chain.
+  const std::vector<ExecStage>* stages = nullptr;
   std::size_t stage = 0;
   /// Start of stage 0 after ReSiPI adjustment: the anchor every
   /// unstalled stage's end time telescopes from.
   double batch_start_s = 0.0;
-  double wait_since_s = 0.0;  ///< when it queued on the current resource
+  /// Priced at stage 0, derated: the batch's service time and its
+  /// prefill phase (the whole run for a fixed-shape batch).
+  double service_s = 0.0;
+  double prefill_s = 0.0;
+};
+
+/// Work queued on a busy resource: a layer stage, a whole batch, or (with
+/// no batch) a continuous iteration. The last two are tenant-level work.
+struct Waiter {
+  std::size_t tenant = 0;
+  InFlightBatch* batch = nullptr;
+  bool tenant_level = false;
+  double since_s = 0.0;
 };
 
 /// An exclusive chiplet-group resource, granted priority-first and FIFO
@@ -60,11 +80,7 @@ struct Resource {
   bool busy = false;
   bool shared = false;
   std::vector<std::size_t> chiplets;  ///< pool-global ids
-  std::deque<std::shared_ptr<InFlightBatch>> waiters;
-  /// Tenant-level waiters (whole batches served batch-granular, or
-  /// continuous iterations): whole units of work queued on this resource
-  /// alongside the layer-mode stage waiters above.
-  std::deque<std::size_t> tenant_waiters;
+  std::deque<Waiter> waiters;
   /// Last tenant that executed on this resource — a different acquirer
   /// pays the cross-tenant handoff retune (shared resources only).
   std::size_t last_tenant = kNoTenant;
@@ -86,7 +102,6 @@ struct TenantState {
   std::size_t next_arrival = 0;
   std::uint64_t next_id = 0;
   bool arrivals_done = false;
-  bool busy = false;
   bool timer_armed = false;
 
   // --- closed-loop client pool ---
@@ -107,18 +122,16 @@ struct TenantState {
   /// term; 0 until two arrivals have been observed.
   double interarrival_ema_s = 0.0;
   double last_arrival_s = -1.0;
-  /// Batch formed but waiting for the shared-serial chiplets.
-  std::vector<Request> pending;
-  double pending_since = 0.0;
   bool needs_shared = false;
   std::vector<std::size_t> occupancy;
   std::vector<double> latencies;
   TenantReport report;
 
   // --- elastic operation ---
-  /// Whether this tenant currently holds the shared pool. Releases key on
-  /// this, not needs_shared: a re-partition can flip needs_shared while a
-  /// batch dispatched under the old plan still holds the lock.
+  /// Whether this tenant's continuous iteration holds the shared pool.
+  /// Releases key on this, not needs_shared: a re-partition can flip
+  /// needs_shared while an iteration dispatched under the old plan still
+  /// holds the lock.
   bool holds_shared = false;
   /// Owned (non-shared) chiplets — the power-gating scope; shared
   /// chiplets never gate because another tenant may be using them.
@@ -171,16 +184,20 @@ struct TenantState {
   double accum_s = 0.0;
   /// Per-busy-period energy accumulator, flushed into report.energy_j at
   /// the next re-anchor (and at finalize): the report total is then the
-  /// same per-period left-to-right fold begin_execution performs,
+  /// same per-period left-to-right fold begin_batch performs,
   /// so the single-user degeneracy holds for energy bit-for-bit too.
   double energy_accum_j = 0.0;
 
-  // --- layer-granular mode ---
+  // --- stage chains ---
+  /// Batch-granular mode and variable-length tenants run every batch
+  /// whole: the one-stage chain, with pipeline depth 1.
+  bool whole_batches = true;
   /// Owned-group resource ids by MAC kind (shared kinds resolve to the
   /// pool-global shared resource instead).
   std::vector<std::pair<accel::MacKind, std::size_t>> kind_resource;
-  /// Resolved stage chains per batch size (pointers into this map are
-  /// handed to in-flight batches; std::map keeps them stable).
+  /// Resolved layer chains per batch size (pointers into this map are
+  /// handed to in-flight batches; std::map keeps them stable, and layer
+  /// chains never meet a re-partition, so the cache never goes stale).
   std::map<unsigned, std::vector<ExecStage>> stage_cache;
   /// Batches in flight; bounded by the stage chain's distinct resources.
   std::size_t inflight = 0;
@@ -213,6 +230,10 @@ struct Engine {
   // (both pipeline modes); layer-granular mode adds every tenant's owned
   // groups after it.
   std::vector<Resource> resources;
+  /// In-flight batches, recycled through free_batches: events and waiter
+  /// queues hold plain pointers, and deque elements never move.
+  std::deque<InFlightBatch> batch_pool;
+  std::vector<InFlightBatch*> free_batches;
 
   double last_completion_s = 0.0;
   /// Time of the first request to actually arrive, from any source — the
@@ -256,7 +277,7 @@ struct Engine {
   obs::Recorder* rec = nullptr;
   int pid = 0;
   std::vector<std::uint64_t> tenant_tracks;
-  std::vector<std::uint64_t> exec_tracks;      ///< batch-granular executors
+  std::vector<std::uint64_t> exec_tracks;      ///< whole-batch executors
   std::vector<std::uint64_t> resource_tracks;  ///< layer-granular groups
   std::uint64_t resipi_track = 0;
 
@@ -389,56 +410,6 @@ struct Engine {
     return total;
   }
 
-  /// Acquire the shared-serial pool (resources[0]) for tenant-level work
-  /// (a whole batch or a continuous iteration); false = queued since
-  /// `now`. Stage-granular batches queue on the same Resource, so every
-  /// executor contends on the same physical chiplets.
-  [[nodiscard]] bool acquire_shared_for_tenant(std::size_t t, double now) {
-    TenantState& ts = tenants[t];
-    Resource& r = resources[0];
-    if (r.busy) {
-      r.tenant_waiters.push_back(t);
-      ts.pending_since = now;
-      return false;
-    }
-    r.busy = true;
-    ts.holds_shared = true;
-    return true;
-  }
-
-  /// Hand the (still-held) shared pool to a tenant-level waiter.
-  void grant_tenant_shared(std::size_t w, double now) {
-    TenantState& waiter = tenants[w];
-    waiter.holds_shared = true;
-    waiter.report.shared_wait_s += now - waiter.pending_since;
-    if (waiter.iter_waiting_shared) {
-      waiter.iter_waiting_shared = false;
-      continuous_iterate(w);
-    } else {
-      std::vector<Request> pending = std::move(waiter.pending);
-      waiter.pending.clear();
-      begin_execution(w, std::move(pending));
-    }
-  }
-
-  /// Per-phase spans of a variable-length batch on the tenant's executor
-  /// track: the MAC-bound prefill and the bandwidth-bound decode tail.
-  void record_phase_spans(std::size_t t, double start, double prefill_end,
-                          double end) {
-    if (!rec->tracing()) {
-      return;
-    }
-    obs::TraceBuffer& tb = rec->trace();
-    tb.add_complete("prefill", "phase", start, prefill_end, pid,
-                    exec_tracks[t],
-                    {obs::arg("tenant", tenants[t].report.name)});
-    if (end > prefill_end) {
-      tb.add_complete("decode", "phase", prefill_end, end, pid,
-                      exec_tracks[t],
-                      {obs::arg("tenant", tenants[t].report.name)});
-    }
-  }
-
   /// Request spans ([arrival, completion], one per request) plus the
   /// latency histograms (global and per priority class).
   void record_completions(std::size_t t, const std::vector<Request>& batch,
@@ -497,30 +468,10 @@ struct Engine {
     }
   }
 
-  /// Batch-granular trace: per-request queue spans closing at the batch
-  /// start, the batch span on the tenant's executor track, and the ReSiPI
-  /// window on the interposer track.
-  void record_batch_trace(std::size_t t, const std::vector<Request>& batch,
-                          double start, double end, double resipi_window_s) {
-    if (!rec->tracing()) {
-      return;
-    }
-    TenantState& ts = tenants[t];
-    obs::TraceBuffer& tb = rec->trace();
-    for (const Request& r : batch) {
-      trace_queue_span(t, r, start);
-    }
-    tb.add_complete(
-        "batch", "exec", start, end, pid, exec_tracks[t],
-        {obs::arg("tenant", ts.report.name),
-         obs::arg("batch", ts.report.batches - 1),
-         obs::arg("size", static_cast<std::uint64_t>(batch.size()))});
-    trace_retune_span(t, start, resipi_window_s, "batch_window");
-  }
-
-  /// Layer-granular trace: stage spans live on their chiplet-group track
-  /// (exclusive FIFO resources, so spans never overlap within a track);
-  /// stage 0 also closes the batch's queue spans.
+  /// Execution trace of one stage; stage 0 also closes the batch's queue
+  /// spans. A whole batch spans its tenant's executor track (plus its
+  /// prefill/decode phases); a layer stage spans its chiplet-group track
+  /// (exclusive FIFO resources, so spans never overlap within a track).
   void record_stage_trace(const InFlightBatch& b, const ExecStage& s,
                           double start, double end, double resipi_window_s,
                           double handoff_s) {
@@ -534,21 +485,39 @@ struct Engine {
         trace_queue_span(b.tenant, r, start);
       }
     }
-    tb.add_complete(
-        "stage", "exec", start, end, pid, resource_tracks[s.resource],
-        {obs::arg("tenant", ts.report.name), obs::arg("batch", b.id),
-         obs::arg("size", static_cast<std::uint64_t>(b.requests.size())),
-         obs::arg("first_layer", static_cast<std::uint64_t>(s.first_layer)),
-         obs::arg("layer_count",
-                  static_cast<std::uint64_t>(s.layer_count))});
+    const auto size = static_cast<std::uint64_t>(b.requests.size());
+    if (s.whole_batch()) {
+      tb.add_complete("batch", "exec", start, end, pid, exec_tracks[b.tenant],
+                      {obs::arg("tenant", ts.report.name),
+                       obs::arg("batch", b.id), obs::arg("size", size)});
+    } else {
+      tb.add_complete(
+          "stage", "exec", start, end, pid, resource_tracks[s.resource],
+          {obs::arg("tenant", ts.report.name), obs::arg("batch", b.id),
+           obs::arg("size", size),
+           obs::arg("first_layer", static_cast<std::uint64_t>(s.first_layer)),
+           obs::arg("layer_count",
+                    static_cast<std::uint64_t>(s.layer_count))});
+    }
     trace_retune_span(b.tenant, start, resipi_window_s,
                       handoff_s > 0.0 ? "handoff" : "batch_window");
+    if (ts.var_length) {
+      // The MAC-bound prefill and the bandwidth-bound decode tail.
+      const double prefill_end = start + b.prefill_s;
+      tb.add_complete("prefill", "phase", start, prefill_end, pid,
+                      exec_tracks[b.tenant],
+                      {obs::arg("tenant", ts.report.name)});
+      if (end > prefill_end) {
+        tb.add_complete("decode", "phase", prefill_end, end, pid,
+                        exec_tracks[b.tenant],
+                        {obs::arg("tenant", ts.report.name)});
+      }
+    }
   }
 
   /// Book one executor interval [start, end): busy time on the tenant's
   /// whole occupancy and, when recording, its BatchTrace row. `chiplets`
-  /// is the row's audited lock: the occupancy, or a layer-mode stage's
-  /// group.
+  /// is the row's audited lock: the occupancy, or a layer stage's group.
   void charge(std::size_t t, unsigned size, double start, double end,
               double resipi_window_s,
               const std::vector<std::size_t>& chiplets) {
@@ -601,11 +570,10 @@ struct Engine {
     std::size_t inflight = 0;
     for (const TenantState& ts : tenants) {
       depth += ts.queue.size();
-      inflight += (ts.busy ? 1 : 0) + ts.inflight;
-      active = active || !ts.arrivals_done || ts.busy || ts.inflight > 0 ||
-               ts.queue.size() > 0 || !ts.pending.empty() ||
-               !ts.active.empty() || ts.iter_running ||
-               ts.iter_waiting_shared;
+      inflight += ts.inflight;
+      active = active || !ts.arrivals_done || ts.inflight > 0 ||
+               ts.queue.size() > 0 || !ts.active.empty() ||
+               ts.iter_running || ts.iter_waiting_shared;
     }
     obs::MetricsRegistry& m = rec->metrics();
     m.set("serve.queue_depth", static_cast<double>(depth));
@@ -989,9 +957,9 @@ struct Engine {
   /// kSlaShed's enqueue-time prediction: serve the backlog ahead of this
   /// request at the policy's dispatch size and see whether its completion
   /// can still make the tenant's SLA. Service times come from the
-  /// memoized ServiceTimeOracle; layer-granular mode amortizes the queued
-  /// batches over the pipeline depth (the steady-state inter-completion
-  /// time), so the estimate is honest about overlap. Two refinements keep
+  /// memoized ServiceTimeOracle; queued batches amortize over the
+  /// pipeline depth (the steady-state inter-completion time; 1 for whole
+  /// batches), so the estimate is honest about overlap. Two refinements keep
   /// the estimate honest *below* the knee, where false sheds cost goodput:
   ///   * batching tenants charge the batch-fill wait (inter-arrival EMA
   ///     times the seats left in the tail batch, capped by the deadline
@@ -1011,11 +979,7 @@ struct Engine {
                                 ? nominal_batch_s(t, cap)
                                 : oracle->batch_run(t, cap).latency_s) *
                            derate_mult;
-    double amortized_s =
-        config.pipeline == PipelineMode::kLayerGranular && !ts.var_length
-            ? batch_s / static_cast<double>(
-                            std::max<std::size_t>(ts.pipeline_depth, 1))
-            : batch_s;
+    double amortized_s = batch_s / static_cast<double>(ts.pipeline_depth);
     if (ts.continuous) {
       // Continuous batching drains the queue at slot parallelism: queued
       // requests complete one amortized service apart, not back to back.
@@ -1102,17 +1066,10 @@ struct Engine {
   }
 
   void try_dispatch(std::size_t t) {
-    TenantState& ts = tenants[t];
-    if (ts.continuous) {
+    if (tenants[t].continuous) {
       continuous_step(t);
-    } else if (config.pipeline == PipelineMode::kLayerGranular &&
-               !ts.var_length) {
-      try_dispatch_layer(t);
     } else {
-      // Batch-granular — including variable-length tenants under layer
-      // mode: their dense-affine stage chain collapses to one stage, so
-      // whole-batch execution is the pipelined schedule.
-      try_dispatch_batch(t);
+      try_dispatch_chain(t);
     }
   }
 
@@ -1127,143 +1084,6 @@ struct Engine {
         try_dispatch(t);
       });
     }
-  }
-
-  void try_dispatch_batch(std::size_t t) {
-    TenantState& ts = tenants[t];
-    if (ts.busy) {
-      return;
-    }
-    const double now = events.now();
-    if (!ts.queue.ready(now, ts.arrivals_done)) {
-      arm_deadline_timer(t);
-      return;
-    }
-    std::vector<Request> batch = ts.queue.take(ts.arrivals_done);
-    ts.busy = true;
-    if (ts.needs_shared && !acquire_shared_for_tenant(t, now)) {
-      ts.pending = std::move(batch);
-      return;
-    }
-    begin_execution(t, std::move(batch));
-  }
-
-  /// Run one whole batch. A variable-length batch is priced per phase
-  /// with padding semantics — one prefill at the longest prompt (weights
-  /// amortize over the batch exactly as in a fixed-shape run), then one
-  /// decode step per generated token up to the longest generation, each
-  /// step attending the padded KV length. A fixed-shape batch is the
-  /// zero-decode-step case, its first run priced by batch_run. The total
-  /// accumulates left-to-right over (prefill, d1, d2, ...) — the same
-  /// fold the continuous engine's per-iteration accumulator performs — so
-  /// a single-request kNone batch and an unstalled continuous busy period
-  /// complete at bit-identical times. ReSiPI derives from the first run
-  /// only: decode steps re-stream the same weights through the same
-  /// gateway configuration, so nothing retunes between iterations.
-  void begin_execution(std::size_t t, std::vector<Request> batch) {
-    TenantState& ts = tenants[t];
-    const auto batch_size = static_cast<unsigned>(batch.size());
-    std::uint32_t pmax = 1;
-    std::uint32_t dmax = 0;
-    std::uint64_t footprint = 0;
-    if (ts.var_length) {
-      for (const Request& r : batch) {
-        pmax = std::max(pmax, r.shape.prefill_tokens);
-        dmax = std::max(dmax, r.shape.decode_tokens);
-        footprint += footprint_bytes(ts, r.shape);
-      }
-    }
-    const core::RunResult& first =
-        ts.var_length ? oracle->prefill_run(t, batch_size, pmax)
-                      : oracle->batch_run(t, batch_size);
-
-    double start = elastic_wake(t, events.now());
-    const double resipi_window_s = claim_run_window(t, start, first);
-    double total_s = first.latency_s;
-    double energy_j = first.energy_j;
-    report.ledger.merge(first.ledger);
-    for (std::uint32_t k = 0; k < dmax; ++k) {
-      const core::RunResult& step = oracle->decode_run(t, batch_size, pmax + k);
-      total_s += step.latency_s;
-      energy_j += step.energy_j;
-      report.ledger.merge(step.ledger);
-    }
-    // derate_mult is exactly 1.0 unless a drift fault fired, so the
-    // multiply is bit-exact on the static path.
-    const double end = start + total_s * derate_mult;
-    const double prefill_end = start + first.latency_s * derate_mult;
-    ts.est_free_s = end;
-    if (ts.needs_shared) {
-      note_shared_held_until(ts.priority, end);
-    }
-    if (ts.var_length) {
-      kv_update(t, footprint, true);
-      for (const Request& r : batch) {
-        ts.ttfts.push_back(prefill_end - r.arrival_s);
-        if (rec != nullptr && rec->metering()) {
-          rec->metrics().observe("serve.ttft", prefill_end - r.arrival_s);
-        }
-      }
-    }
-
-    charge(t, batch_size, start, end, resipi_window_s, ts.occupancy);
-    ts.report.energy_j += energy_j;
-    ts.report.batches += 1;
-    if (DayPoint* bucket = curve_bucket(start)) {
-      bucket->energy_j += energy_j;
-    }
-    if (rec != nullptr) {
-      record_dispatch_metrics(batch_size, first);
-      record_batch_trace(t, batch, start, end, resipi_window_s);
-      if (ts.var_length) {
-        record_phase_spans(t, start, prefill_end, end);
-      }
-    }
-    events.schedule_at(end, [this, t, b = std::move(batch)] {
-      complete(t, b);
-    });
-  }
-
-  /// Iterator to the next waiter to grant: highest priority class first
-  /// (lowest number wins; strict <, so FIFO within a class — a
-  /// single-class run grants in exactly the arrival order it always
-  /// did). `tenant_of` projects a waiter entry to its tenant index.
-  template <typename Deque, typename Proj>
-  auto best_waiter(Deque& waiters, Proj tenant_of) {
-    auto best = waiters.begin();
-    for (auto it = std::next(best); it != waiters.end(); ++it) {
-      if (tenants[tenant_of(*it)].priority <
-          tenants[tenant_of(*best)].priority) {
-        best = it;
-      }
-    }
-    return best;
-  }
-
-  void complete(std::size_t t, const std::vector<Request>& batch) {
-    TenantState& ts = tenants[t];
-    const double now = events.now();
-    if (ts.var_length) {
-      std::uint64_t footprint = 0;
-      for (const Request& r : batch) {
-        footprint += footprint_bytes(ts, r.shape);
-        ts.report.decode_tokens += r.shape.decode_tokens;
-      }
-      kv_update(t, footprint, false);
-    }
-    finish(t, batch, now);
-    ts.busy = false;
-    if (config.elastic.gate) {
-      ts.idle_since_s = now;  // closed (or re-measured) at the next dispatch
-    }
-    if (ts.holds_shared) {
-      // Release the shared pool; grant priority-first (FIFO in class).
-      // Keyed on holds_shared, not needs_shared: a re-partition may have
-      // flipped needs_shared while this batch held the lock.
-      ts.holds_shared = false;
-      release_resource(0);
-    }
-    try_dispatch(t);
   }
 
   // ------------------------------------------------------------------
@@ -1308,18 +1128,27 @@ struct Engine {
       }
       return;  // busy period over; the next arrival restarts it
     }
-    if (ts.needs_shared && !acquire_shared_for_tenant(t, now)) {
-      ts.iter_waiting_shared = true;
-      return;
+    if (ts.needs_shared) {
+      Resource& pool = resources[0];
+      if (pool.busy) {
+        pool.waiters.push_back({t, nullptr, true, now});
+        ts.iter_waiting_shared = true;
+        return;
+      }
+      pool.busy = true;
+      ts.holds_shared = true;
     }
-    continuous_iterate(t);
+    run_cont_iteration(t);
   }
 
-  /// Compose and run one iteration over the current set: a prefill
-  /// iteration when any admitted sequence has not prefilled yet (its
-  /// prompt is landed into the bubble before decoding resumes), a decode
-  /// iteration otherwise.
-  void continuous_iterate(std::size_t t) {
+  /// Price and schedule one iteration over the current set: a prefill
+  /// iteration over the `fresh` sequences when any admitted one has not
+  /// prefilled yet (its prompt is landed into the bubble before decoding
+  /// resumes), a decode iteration over the whole set otherwise.
+  /// Iteration ends accumulate as origin + (accum += dt): the identical
+  /// left-to-right fold begin_batch performs, so a lone
+  /// request's completion matches the static kNone price bit-for-bit.
+  void run_cont_iteration(std::size_t t) {
     TenantState& ts = tenants[t];
     std::vector<std::size_t> fresh;
     for (std::size_t i = 0; i < ts.active.size(); ++i) {
@@ -1327,16 +1156,6 @@ struct Engine {
         fresh.push_back(i);
       }
     }
-    run_cont_iteration(t, std::move(fresh));
-  }
-
-  /// Price and schedule one iteration. `fresh` names the sequences of a
-  /// prefill iteration (empty = decode iteration over the whole set).
-  /// Iteration ends accumulate as origin + (accum += dt): the identical
-  /// left-to-right fold begin_execution performs, so a lone
-  /// request's completion matches the static kNone price bit-for-bit.
-  void run_cont_iteration(std::size_t t, std::vector<std::size_t> fresh) {
-    TenantState& ts = tenants[t];
     const bool prefill_phase = !fresh.empty();
     const auto size =
         static_cast<unsigned>(prefill_phase ? fresh.size() : ts.active.size());
@@ -1445,6 +1264,8 @@ struct Engine {
       finish(t, done, now);
     }
     if (ts.holds_shared) {
+      // Keyed on holds_shared, not needs_shared: a re-partition may have
+      // flipped needs_shared while the iteration held the lock.
       ts.holds_shared = false;
       release_resource(0);
     }
@@ -1452,14 +1273,24 @@ struct Engine {
   }
 
   // ------------------------------------------------------------------
-  // Layer-granular (SET-style pipelined) execution.
+  // Stage-chain execution. Every non-continuous batch runs a chain of
+  // stages: SET-style layer pipelining in layer-granular mode, and the
+  // one-stage chain (a whole batch) in batch-granular mode and for
+  // variable-length tenants.
 
-  /// Resolve and cache the stage chain of one (tenant, batch-size) point:
-  /// the oracle's per-group pipeline stages mapped onto engine resources,
-  /// with consecutive same-resource stages merged so a batch never
-  /// re-acquires the lock it just released.
+  /// The stage chain of one (tenant, batch-size) point. A whole batch is
+  /// one stage with layer_count 0. A layer chain is the oracle's per-group
+  /// pipeline stages mapped onto engine resources and cached, with
+  /// consecutive same-resource stages merged so a batch never re-acquires
+  /// the lock it just released.
   const std::vector<ExecStage>& exec_stages(std::size_t t, unsigned batch) {
+    static const std::vector<ExecStage> kWholeOnShared{
+        ExecStage{.shared = true}};
+    static const std::vector<ExecStage> kWholeOwned{ExecStage{}};
     TenantState& ts = tenants[t];
+    if (ts.whole_batches) {
+      return ts.needs_shared ? kWholeOnShared : kWholeOwned;
+    }
     if (const auto it = ts.stage_cache.find(batch);
         it != ts.stage_cache.end()) {
       return it->second;
@@ -1514,7 +1345,7 @@ struct Engine {
     return std::max<std::size_t>(seen.size(), 1);
   }
 
-  void try_dispatch_layer(std::size_t t) {
+  void try_dispatch_chain(std::size_t t) {
     TenantState& ts = tenants[t];
     while (ts.inflight < ts.pipeline_depth) {
       const double now = events.now();
@@ -1523,101 +1354,168 @@ struct Engine {
         return;
       }
       std::vector<Request> batch = ts.queue.take(ts.arrivals_done);
-      const auto batch_size = static_cast<unsigned>(batch.size());
-      auto b = std::make_shared<InFlightBatch>();
-      b->tenant = t;
-      b->id = ts.batch_seq++;
-      b->requests = std::move(batch);
-      b->stages = &exec_stages(t, batch_size);
+      const std::vector<ExecStage>& stages =
+          exec_stages(t, static_cast<unsigned>(batch.size()));
+      InFlightBatch* b = nullptr;
+      if (free_batches.empty()) {
+        b = &batch_pool.emplace_back();
+      } else {
+        b = free_batches.back();
+        free_batches.pop_back();
+      }
+      *b = InFlightBatch{.tenant = t,
+                         .id = ts.batch_seq++,
+                         .requests = std::move(batch),
+                         .stages = &stages};
       ts.inflight += 1;
-      request_stage(std::move(b));
+      request_stage(b);
     }
   }
 
-  void request_stage(std::shared_ptr<InFlightBatch> b) {
-    Resource& r = resources[(*b->stages)[b->stage].resource];
-    if (r.busy) {
-      b->wait_since_s = events.now();
-      r.waiters.push_back(std::move(b));
-      return;
+  /// Acquire the batch's current stage resource, or queue for it. A whole
+  /// batch queues as tenant-level work, beside continuous iterations.
+  void request_stage(InFlightBatch* b) {
+    const ExecStage& s = (*b->stages)[b->stage];
+    if (s.locks()) {
+      Resource& r = resources[s.resource];
+      if (r.busy) {
+        r.waiters.push_back({b->tenant, b, s.whole_batch(), events.now()});
+        return;
+      }
+      r.busy = true;
     }
-    r.busy = true;
-    start_stage(std::move(b));
+    start_stage(b);
   }
 
-  /// Run one granted stage: apply ReSiPI serialization (the batch window
-  /// at stage 0, a retune window on every cross-tenant shared handoff),
-  /// charge busy/energy accounting, and schedule the stage-end event.
-  void start_stage(std::shared_ptr<InFlightBatch> b) {
+  /// Stage 0 of every chain: wake gated hardware, price the batch, claim
+  /// its own ReSiPI window (delaying `start` past a conflict) and book its
+  /// energy, admission estimate and KV reservation; returns the window
+  /// length. A variable-length batch is priced per phase with padding
+  /// semantics — one prefill at the longest prompt (weights amortize over
+  /// the batch exactly as in a fixed-shape run), then one decode step per
+  /// generated token up to the longest generation, each step attending
+  /// the padded KV length. A fixed-shape batch is the zero-decode-step
+  /// case, its first run priced by batch_run. The total accumulates
+  /// left-to-right over (prefill, d1, d2, ...) — the same fold the
+  /// continuous engine's per-iteration accumulator performs — so a
+  /// single-request kNone batch and an unstalled continuous busy period
+  /// complete at bit-identical times. ReSiPI derives from the first run
+  /// only: decode steps re-stream the same weights through the same
+  /// gateway configuration, so nothing retunes between iterations.
+  double begin_batch(InFlightBatch& b, double& start) {
+    const std::size_t t = b.tenant;
+    TenantState& ts = tenants[t];
+    const auto batch_size = static_cast<unsigned>(b.requests.size());
+    std::uint32_t pmax = 1;
+    std::uint32_t dmax = 0;
+    std::uint64_t footprint = 0;
+    if (ts.var_length) {
+      for (const Request& r : b.requests) {
+        pmax = std::max(pmax, r.shape.prefill_tokens);
+        dmax = std::max(dmax, r.shape.decode_tokens);
+        footprint += footprint_bytes(ts, r.shape);
+      }
+    }
+    const core::RunResult& first =
+        ts.var_length ? oracle->prefill_run(t, batch_size, pmax)
+                      : oracle->batch_run(t, batch_size);
+    start = elastic_wake(t, start);
+    const double resipi_window_s = claim_run_window(t, start, first);
+    double total_s = first.latency_s;
+    double energy_j = first.energy_j;
+    report.ledger.merge(first.ledger);
+    for (std::uint32_t k = 0; k < dmax; ++k) {
+      const core::RunResult& step = oracle->decode_run(t, batch_size, pmax + k);
+      total_s += step.latency_s;
+      energy_j += step.energy_j;
+      report.ledger.merge(step.ledger);
+    }
+    // derate_mult is exactly 1.0 unless a drift fault fired, so the
+    // multiply is bit-exact on the static path.
+    b.service_s = total_s * derate_mult;
+    b.prefill_s = first.latency_s * derate_mult;
+    ts.report.energy_j += energy_j;
+    ts.report.batches += 1;
+    if (DayPoint* bucket = curve_bucket(start)) {
+      bucket->energy_j += energy_j;
+    }
+    if (rec != nullptr) {
+      record_dispatch_metrics(batch_size, first);
+    }
+    // Admission estimate: with the pipeline full, completions are one
+    // bottleneck-amortized interval apart (a whole batch's own end).
+    ts.est_free_s = std::max(ts.est_free_s, start) +
+                    b.service_s / static_cast<double>(ts.pipeline_depth);
+    if (ts.var_length) {
+      kv_update(t, footprint, true);
+      const double prefill_end = start + b.prefill_s;
+      for (const Request& r : b.requests) {
+        ts.ttfts.push_back(prefill_end - r.arrival_s);
+        if (rec != nullptr && rec->metering()) {
+          rec->metrics().observe("serve.ttft", prefill_end - r.arrival_s);
+        }
+      }
+    }
+    return resipi_window_s;
+  }
+
+  /// Run one granted stage: price the batch at stage 0, retune on a layer
+  /// stage's cross-tenant shared handoff, charge busy accounting, and
+  /// schedule the stage-end event.
+  void start_stage(InFlightBatch* b) {
     const std::size_t t = b->tenant;
     TenantState& ts = tenants[t];
     const ExecStage& s = (*b->stages)[b->stage];
     Resource& r = resources[s.resource];
-    const auto batch_size = static_cast<unsigned>(b->requests.size());
 
     double start = events.now();
-    double resipi_window_s = 0.0;
-    if (b->stage == 0) {
-      const core::RunResult& run = oracle->batch_run(t, batch_size);
-      // The batch's own reconfiguration window, as in batch-granular mode.
-      resipi_window_s = claim_run_window(t, start, run);
-      ts.report.energy_j += run.energy_j;
-      ts.report.batches += 1;
-      report.ledger.merge(run.ledger);
-      if (DayPoint* bucket = curve_bucket(start)) {
-        bucket->energy_j += run.energy_j;
-      }
-      if (rec != nullptr) {
-        record_dispatch_metrics(batch_size, run);
-      }
-      // Admission estimate: with the pipeline full, completions are one
-      // bottleneck-amortized interval apart.
-      ts.est_free_s =
-          std::max(ts.est_free_s, start) +
-          run.latency_s / static_cast<double>(
-                              std::max<std::size_t>(ts.pipeline_depth, 1));
-    }
+    double resipi_window_s = b->stage == 0 ? begin_batch(*b, start) : 0.0;
     double handoff_s = 0.0;
-    if (s.shared && config.arch == accel::Architecture::kSiph2p5D &&
-        r.last_tenant != kNoTenant && r.last_tenant != t) {
-      // Cross-tenant handoff of the scarce group: retune its gateways for
-      // the new tenant — one PCM write window, serialized on the shared
-      // interposer like any other reconfiguration.
-      handoff_s = config.system.tech.photonic.pcm.write_time_s;
-      start = claim_resipi(t, start, handoff_s);
-      ts.report.shared_handoffs += 1;
-      ts.report.handoff_resipi_s += handoff_s;
-      if (rec != nullptr && rec->metering()) {
-        rec->metrics().add("resipi.handoffs");
+    if (s.shared && !s.whole_batch()) {
+      if (config.arch == accel::Architecture::kSiph2p5D &&
+          r.last_tenant != kNoTenant && r.last_tenant != t) {
+        // Cross-tenant handoff of the scarce group: retune its gateways
+        // for the new tenant — one PCM write window, serialized on the
+        // shared interposer like any other reconfiguration.
+        handoff_s = config.system.tech.photonic.pcm.write_time_s;
+        start = claim_resipi(t, start, handoff_s);
+        ts.report.shared_handoffs += 1;
+        ts.report.handoff_resipi_s += handoff_s;
+        if (rec != nullptr && rec->metering()) {
+          rec->metrics().add("resipi.handoffs");
+        }
+        resipi_window_s = std::max(resipi_window_s, handoff_s);
       }
-      resipi_window_s = std::max(resipi_window_s, handoff_s);
-    }
-    if (s.shared) {
       r.last_tenant = t;
     }
     if (b->stage == 0) {
       b->batch_start_s = start;
     }
-    // An unstalled chain telescopes through the schedule's exact prefix
-    // offsets, so a lone batch completes bit-for-bit at the
-    // batch-granular time; a stalled or handed-off stage falls back to
-    // duration arithmetic from its actual start.
-    const double expected = b->batch_start_s + s.start_offset_s;
-    const double end =
-        (handoff_s == 0.0 && start == expected)
-            ? b->batch_start_s + s.end_offset_s
-            : start + (s.end_offset_s - s.start_offset_s) + handoff_s;
-    if (s.shared) {
-      // Feed the admission estimate's cross-tenant contention term.
+    // A whole batch spans its priced service time. An unstalled layer
+    // chain telescopes through the schedule's exact prefix offsets, so a
+    // lone batch completes bit-for-bit at the whole-batch time; a stalled
+    // or handed-off stage falls back to duration arithmetic from its
+    // actual start.
+    double end = start + b->service_s;
+    if (!s.whole_batch()) {
+      end = (handoff_s == 0.0 && start == b->batch_start_s + s.start_offset_s)
+                ? b->batch_start_s + s.end_offset_s
+                : start + (s.end_offset_s - s.start_offset_s) + handoff_s;
+    }
+    if (s.shared && ts.needs_shared) {
+      // Feed the admission estimate's cross-tenant contention term (a
+      // re-partition may have dropped the tenant's shared kinds while a
+      // whole batch queued for the pool).
       note_shared_held_until(ts.priority, end);
     }
 
-    // Busy accounting keeps batch-granular executor semantics (the whole
+    // Busy accounting keeps whole-batch executor semantics (the whole
     // occupancy is "this tenant's executor working"), so utilization is
-    // comparable across modes; the trace below audits the stage's actual
-    // physical lock instead.
-    charge(t, batch_size, start, end, resipi_window_s, r.chiplets);
-    if (config.record_batches) {
+    // comparable across modes; a layer stage's BatchTrace row audits the
+    // stage's actual physical lock instead.
+    charge(t, static_cast<unsigned>(b->requests.size()), start, end,
+           resipi_window_s, s.whole_batch() ? ts.occupancy : r.chiplets);
+    if (config.record_batches && !s.whole_batch()) {
       BatchTrace& trace = report.batches.back();
       trace.first_layer = s.first_layer;
       trace.layer_count = s.layer_count;
@@ -1626,68 +1524,90 @@ struct Engine {
     if (rec != nullptr) {
       record_stage_trace(*b, s, start, end, resipi_window_s, handoff_s);
     }
-    events.schedule_at(end, [this, b = std::move(b)]() mutable {
-      end_stage(std::move(b));
-    });
+    events.schedule_at(end, [this, b] { end_stage(b); });
   }
 
-  void end_stage(std::shared_ptr<InFlightBatch> b) {
+  /// A stage ended. A layer stage hands its group on before the batch
+  /// moves on or completes; a whole batch completes before it frees the
+  /// shared pool, so its closed-loop reissues are scheduled ahead of the
+  /// next holder's events.
+  void end_stage(InFlightBatch* b) {
     const ExecStage& s = (*b->stages)[b->stage];
-    release_resource(s.resource);
-    b->stage += 1;
-    if (b->stage < b->stages->size()) {
-      request_stage(std::move(b));
+    const std::size_t t = b->tenant;
+    if (s.whole_batch()) {
+      retire(b);
+      if (s.locks()) {
+        release_resource(s.resource);
+      }
     } else {
-      complete_layer_batch(std::move(b));
+      release_resource(s.resource);
+      if (++b->stage < b->stages->size()) {
+        request_stage(b);
+        return;
+      }
+      retire(b);
     }
+    try_dispatch(t);
   }
 
+  /// Complete a batch's requests, release its KV reservation and free its
+  /// pipeline slot.
+  void retire(InFlightBatch* b) {
+    const std::size_t t = b->tenant;
+    TenantState& ts = tenants[t];
+    const double now = events.now();
+    if (ts.var_length) {
+      std::uint64_t footprint = 0;
+      for (const Request& r : b->requests) {
+        footprint += footprint_bytes(ts, r.shape);
+        ts.report.decode_tokens += r.shape.decode_tokens;
+      }
+      kv_update(t, footprint, false);
+    }
+    finish(t, b->requests, now);
+    ts.inflight -= 1;
+    if (config.elastic.gate) {
+      // Gating needs batch-granular mode, whose depth 1 makes every
+      // completion the start of an idle gap (closed at the next dispatch).
+      ts.idle_since_s = now;
+    }
+    free_batches.push_back(b);
+  }
+
+  /// Grant a released resource to its best waiter, or free it. Highest
+  /// priority class first (lowest number wins); within a class a layer
+  /// stage beats tenant-level work (it holds upstream pipeline resources a
+  /// stalled chain would deadlock), and otherwise FIFO (strict <), so a
+  /// single-class run grants in arrival order. The resource stays busy
+  /// across a grant.
   void release_resource(std::size_t id) {
     Resource& r = resources[id];
-    if (r.waiters.empty() && r.tenant_waiters.empty()) {
+    if (r.waiters.empty()) {
       r.busy = false;
       return;
     }
-    // Arbitrate across both waiter queues — stage-granular batches and
-    // whole-batch variable-length tenants contend on the same physical
-    // chiplets. Best priority class wins; stage waiters win ties (they
-    // hold upstream pipeline resources a stalled chain would deadlock).
-    const auto best_stage =
-        r.waiters.empty()
-            ? r.waiters.end()
-            : best_waiter(r.waiters,
-                          [](const std::shared_ptr<InFlightBatch>& b) {
-                            return b->tenant;
-                          });
-    const auto best_tenant =
-        r.tenant_waiters.empty()
-            ? r.tenant_waiters.end()
-            : best_waiter(r.tenant_waiters,
-                          [](std::size_t t) { return t; });
-    const bool take_tenant =
-        best_stage == r.waiters.end() ||
-        (best_tenant != r.tenant_waiters.end() &&
-         tenants[*best_tenant].priority <
-             tenants[(*best_stage)->tenant].priority);
-    if (take_tenant) {
-      const std::size_t w = *best_tenant;
-      r.tenant_waiters.erase(best_tenant);
-      grant_tenant_shared(w, events.now());  // the resource stays busy
-      return;
+    const auto rank = [this](const Waiter& w) {
+      return std::pair(tenants[w.tenant].priority, w.tenant_level);
+    };
+    auto best = r.waiters.begin();
+    for (auto it = std::next(best); it != r.waiters.end(); ++it) {
+      if (rank(*it) < rank(*best)) {
+        best = it;
+      }
     }
-    std::shared_ptr<InFlightBatch> next = std::move(*best_stage);
-    r.waiters.erase(best_stage);
+    const Waiter w = *best;
+    r.waiters.erase(best);
+    TenantState& ts = tenants[w.tenant];
     if (r.shared) {
-      tenants[next->tenant].report.shared_wait_s +=
-          events.now() - next->wait_since_s;
+      ts.report.shared_wait_s += events.now() - w.since_s;
     }
-    start_stage(std::move(next));  // the resource stays busy
-  }
-
-  void complete_layer_batch(std::shared_ptr<InFlightBatch> b) {
-    finish(b->tenant, b->requests, events.now());
-    tenants[b->tenant].inflight -= 1;
-    try_dispatch(b->tenant);
+    if (w.batch != nullptr) {
+      start_stage(w.batch);
+    } else {
+      ts.holds_shared = true;
+      ts.iter_waiting_shared = false;
+      run_cont_iteration(w.tenant);
+    }
   }
 };
 
@@ -1830,9 +1750,8 @@ ServingReport simulate(const ServingConfig& config) {
   }
   // Re-partitioning and faults need batch-granular dispatch: the
   // layer-granular resource table and stage chains are built once and
-  // cannot follow a mid-run ownership change. Gating hooks only the
-  // batch-granular dispatch and completion, so under layer-granular
-  // execution it would be silently inert.
+  // cannot follow a mid-run ownership change. Gating measures idle gaps
+  // between completions and dispatches, which needs pipeline depth 1.
   OPTIPLET_REQUIRE(
       (!pool_elastic && !any_armed && !elastic.gate) ||
           config.pipeline == PipelineMode::kBatchGranular,
@@ -1982,6 +1901,8 @@ ServingReport simulate(const ServingConfig& config) {
     state.admission = setup.admission;
     state.priority = setup.priority;
     state.needs_shared = !plan.tenants[t].shared_kinds.empty();
+    state.whole_batches =
+        config.pipeline == PipelineMode::kBatchGranular || var;
     state.occupancy = plan.occupancy(t);
     state.owned = plan.tenants[t].owned_chiplets;
     state.retry_rng = util::Xoshiro256(setup.seed ^ 0x7265747279ULL);
@@ -2042,14 +1963,9 @@ ServingReport simulate(const ServingConfig& config) {
         engine.resources.push_back(std::move(owned));
       }
       // The stage structure is batch-size independent, so batch 1 (already
-      // simulated for the SLA) pins the tenant's pipeline depth.
-      // Variable-length tenants are dense-affine throughout — their stage
-      // chain collapses to one group — so they serve batch-granular with
-      // depth 1 (no stage schedule to build).
-      ts.pipeline_depth =
-          ts.var_length
-              ? 1
-              : Engine::distinct_resources(engine.exec_stages(t, 1));
+      // simulated for the SLA) pins the tenant's pipeline depth; a whole
+      // batch's one-stage chain pins depth 1 without an oracle lookup.
+      ts.pipeline_depth = Engine::distinct_resources(engine.exec_stages(t, 1));
     }
   }
   obs::Recorder* const rec = config.recorder;
@@ -2062,9 +1978,9 @@ ServingReport simulate(const ServingConfig& config) {
                           rec->options().process_name.empty()
                               ? "serving"
                               : rec->options().process_name);
-      // Track allocation order is fixed (tenants, then executors/groups,
-      // then the interposer), so identical configs always produce
-      // identical tids.
+      // Track allocation order is fixed (tenants, then groups, then
+      // executors, then the interposer), so identical configs always
+      // produce identical tids.
       for (const TenantState& ts : engine.tenants) {
         engine.tenant_tracks.push_back(
             tb.track(engine.pid, "tenant:" + ts.report.name));
@@ -2075,18 +1991,10 @@ ServingReport simulate(const ServingConfig& config) {
               tb.track(engine.pid, r == 0 ? std::string("group:shared")
                                           : "group:" + std::to_string(r)));
         }
-        // Variable-length tenants serve batch-granular even in layer mode
-        // and emit phase spans on executor tracks.
-        const bool any_var = std::any_of(
-            engine.tenants.begin(), engine.tenants.end(),
-            [](const TenantState& ts) { return ts.var_length; });
-        if (any_var) {
-          for (const TenantState& ts : engine.tenants) {
-            engine.exec_tracks.push_back(
-                tb.track(engine.pid, "exec:" + ts.report.name));
-          }
-        }
-      } else {
+      }
+      // Whole batches and continuous iterations span executor tracks.
+      if (std::any_of(engine.tenants.begin(), engine.tenants.end(),
+                      [](const TenantState& ts) { return ts.whole_batches; })) {
         for (const TenantState& ts : engine.tenants) {
           engine.exec_tracks.push_back(
               tb.track(engine.pid, "exec:" + ts.report.name));
@@ -2156,8 +2064,7 @@ ServingReport simulate(const ServingConfig& config) {
     }
   }
   for (const Resource& resource : engine.resources) {
-    OPTIPLET_ASSERT(!resource.busy && resource.waiters.empty() &&
-                        resource.tenant_waiters.empty(),
+    OPTIPLET_ASSERT(!resource.busy && resource.waiters.empty(),
                     "serving drained with a chiplet group still held");
   }
   for (const TenantState& ts : engine.tenants) {

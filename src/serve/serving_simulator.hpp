@@ -30,8 +30,10 @@
 ///     interposer are serialized: a batch that reconfigures gateways waits
 ///     for any other tenant's in-flight reconfiguration window.
 ///
-/// PipelineMode::kLayerGranular replaces the single batch-completion event
-/// with a layer-advance event chain (SET-style inter-layer pipelining):
+/// Every batch runs as a chain of stages; batch-granular execution is the
+/// one-stage chain (a whole batch, one completion event).
+/// PipelineMode::kLayerGranular runs a layer-advance event chain instead
+/// (SET-style inter-layer pipelining):
 ///   * a batch advances through the oracle's LayerSchedule stages, holding
 ///     only the chiplet group of its current stage, so layer k of batch i
 ///     overlaps layer k+1 of batch i-1 within a tenant (up to the model's
@@ -54,10 +56,9 @@
 /// decodes for the longest generation); BatchPolicy::kContinuous replaces
 /// whole-batch dispatch with iteration-level scheduling — requests join
 /// and leave the running decode batch at token boundaries, and waiting
-/// prefills are admitted into the bubbles completions free. Transformer
-/// compute is dense-affine throughout, so its stage chain collapses to a
-/// single kDense100 stage and layer-granular mode serves these tenants
-/// batch-granular (through the same shared-group locks).
+/// prefills are admitted into the bubbles completions free. Static
+/// variable-length batches run whole in both pipeline modes: the
+/// one-stage chain, through the same shared-group locks.
 ///
 /// The report carries throughput, utilization, p50/p95/p99 latency,
 /// SLA-violation rate, and energy per request (batch energies plus the

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "dnn/workload.hpp"
 #include "dnn/zoo.hpp"
@@ -419,8 +420,8 @@ TEST(ServingSimulator, MonolithicTenantsSerializeOnTheDie) {
 
 /// TinyGPT with token shapes co-located with CNNs on the monolithic die,
 /// where every tenant is shared-serial.
-ServingReport serve_on_mono(const char* mix, const char* priorities,
-                            PipelineMode pipeline) {
+ServingConfig mono_config(const char* mix, const char* priorities,
+                          PipelineMode pipeline, BatchPolicy tinygpt_policy) {
   ServingSpec spec;
   spec.tenant_mix = mix;
   spec.priority_mix = priorities;
@@ -433,18 +434,44 @@ ServingReport serve_on_mono(const char* mix, const char* priorities,
   config.tenants[0].prefill_tokens = 16;
   config.tenants[0].decode_tokens = 4;
   config.tenants[0].token_spread = 0.5;
-  return simulate(config);
+  config.tenants[0].batching.policy = tinygpt_policy;
+  return config;
+}
+
+ServingReport serve_on_mono(const char* mix, const char* priorities,
+                            PipelineMode pipeline,
+                            BatchPolicy tinygpt_policy = BatchPolicy::kNone) {
+  return simulate(mono_config(mix, priorities, pipeline, tinygpt_policy));
+}
+
+/// Shared-pool grant order on the monolithic die: one tenant digit per
+/// executed batch, stage or continuous iteration, in start order (every
+/// unit of work holds the whole die, so start order is grant order).
+std::string mono_grant_order(const char* mix, PipelineMode pipeline) {
+  ServingConfig config =
+      mono_config(mix, "0+0+0", pipeline, BatchPolicy::kContinuous);
+  config.record_batches = true;
+  const ServingReport report = simulate(config);
+  std::string order;
+  for (const BatchTrace& b : report.batches) {
+    order += static_cast<char>('0' + b.tenant);
+  }
+  return order;
 }
 
 /// Both pipeline modes contend on the shared pool and agree on every
 /// simulated metric; only the oracle work counters may differ (layer
 /// mode also prices stage schedules).
-void expect_pool_modes_agree(const char* mix, const char* priorities) {
+void expect_pool_modes_agree(
+    const char* mix, const char* priorities,
+    BatchPolicy tinygpt_policy = BatchPolicy::kNone) {
   SCOPED_TRACE(std::string(mix) + " " + priorities);
-  const auto batch =
-      serve_on_mono(mix, priorities, PipelineMode::kBatchGranular);
-  const auto layer =
-      serve_on_mono(mix, priorities, PipelineMode::kLayerGranular);
+  const auto batch = serve_on_mono(mix, priorities,
+                                   PipelineMode::kBatchGranular,
+                                   tinygpt_policy);
+  const auto layer = serve_on_mono(mix, priorities,
+                                   PipelineMode::kLayerGranular,
+                                   tinygpt_policy);
   for (const ServingReport* report : {&batch, &layer}) {
     const ServingMetrics& m = report->metrics;
     EXPECT_EQ(m.offered, m.completed + m.shed + m.abandoned);
@@ -503,6 +530,30 @@ TEST(ServingSimulator, TransformerAndCnnShareOnePoolArbiterInBothModes) {
   // Three tenants in distinct classes (no cross-queue ties) make the
   // arbiter choose between a stage waiter and a tenant waiter.
   expect_pool_modes_agree("TinyGPT+LeNet5+MobileNetV2", "1+0+2");
+  // A continuous TinyGPT beside a CNN in one class: its iterations and
+  // the CNN's batches or stages queue on the same die, granted alike in
+  // both modes.
+  expect_pool_modes_agree("TinyGPT+LeNet5", "0+0", BatchPolicy::kContinuous);
+  // With two CNNs beside it the continuous tenant meets real three-way
+  // ties, and the modes break them differently: batch mode grants
+  // tenant-level waiters (whole batches and iterations) FIFO within a
+  // class, while layer mode lets a waiting CNN stage win the tie. Pin
+  // both orders: batch mode round-robins the three tenants, layer mode
+  // serves the CNNs' stages first and TinyGPT's iterations once the CNN
+  // work drains.
+  const auto repeat = [](const std::string& unit, std::size_t n) {
+    std::string out;
+    for (std::size_t i = 0; i < n; ++i) {
+      out += unit;
+    }
+    return out;
+  };
+  EXPECT_EQ(mono_grant_order("TinyGPT+LeNet5+MobileNetV2",
+                             PipelineMode::kBatchGranular),
+            repeat("012", 53) + "0");
+  EXPECT_EQ(mono_grant_order("TinyGPT+LeNet5+MobileNetV2",
+                             PipelineMode::kLayerGranular),
+            "0" + repeat("12", 53) + repeat("0", 53));
 }
 
 }  // namespace
