@@ -48,9 +48,50 @@ struct ExecStage {
   [[nodiscard]] bool locks() const { return shared || !whole_batch(); }
 };
 
+/// What a scheduled serving event does when it fires; Engine::handle
+/// dispatches each kind to its handler.
+enum class EventKind : std::uint8_t {
+  kArrival,       ///< open-loop arrival; arg = index into the arrival times
+  kThink,         ///< a closed-loop user's think time ended
+  kDeadline,      ///< kDeadline timeout for the queue head
+  kIterationEnd,  ///< continuous iteration ended (its prefills: ts.fresh)
+  kStageEnd,      ///< arg = the batch's slot in Engine::batch_pool
+  kRetry,         ///< arg = the pending re-offer's slot in Engine::retries
+  kMetricsTick,   ///< periodic metric snapshot
+  kFault,         ///< arg = index into config.elastic.faults
+};
+
+/// One scheduled event: a plain record, so the queue never allocates or
+/// type-erases per event. State an event needs beyond (tenant, arg) lives
+/// in the engine, addressed by `arg`.
+struct Event {
+  EventKind kind;
+  std::uint32_t tenant;
+  std::uint64_t arg;
+};
+
+/// A shed request waiting out its backoff before re-offer `attempt`.
+struct PendingRetry {
+  Request request;
+  unsigned attempt = 0;
+};
+
+/// A slot of `pool` to fill: a recycled one from `free`, or a new element.
+template <class Pool>
+std::size_t take_slot(Pool& pool, std::vector<std::size_t>& free) {
+  if (free.empty()) {
+    pool.emplace_back();
+    return pool.size() - 1;
+  }
+  const std::size_t slot = free.back();
+  free.pop_back();
+  return slot;
+}
+
 /// One batch advancing through its stage chain.
 struct InFlightBatch {
   std::size_t tenant = 0;
+  std::size_t slot = 0;  ///< index in Engine::batch_pool
   std::uint64_t id = 0;  ///< per-tenant dispatch sequence
   std::vector<Request> requests;
   /// Engine-cached layer chain, or a static one-stage whole-batch chain.
@@ -175,6 +216,9 @@ struct TenantState {
   /// admission estimate's amortization factor).
   unsigned cont_slots = 1;
   std::vector<ActiveSeq> active;  ///< the running decode set
+  /// Indices into `active` the in-flight iteration prefills (empty for a
+  /// decode iteration); one iteration is in flight per tenant.
+  std::vector<std::size_t> fresh;
   bool iter_running = false;
   bool iter_waiting_shared = false;
   /// Busy-period anchor + running accumulator: iteration k ends at
@@ -213,10 +257,10 @@ struct Engine {
   /// Current-generation oracle/plan. Generation 0 lives in simulate()'s
   /// frame; elastic re-partitions push new generations onto gen_oracles /
   /// gen_plans and swap these pointers (all generations stay alive, so
-  /// in-flight callbacks and cached references never dangle).
+  /// in-flight batches and cached references never dangle).
   ServiceTimeOracle* oracle;
   const ColocationPlan* plan;
-  sim::EventQueue events;
+  sim::EventQueue<Event> events;
   std::vector<TenantState> tenants;
   ServingReport report;
 
@@ -230,10 +274,17 @@ struct Engine {
   // (both pipeline modes); layer-granular mode adds every tenant's owned
   // groups after it.
   std::vector<Resource> resources;
-  /// In-flight batches, recycled through free_batches: events and waiter
-  /// queues hold plain pointers, and deque elements never move.
+  /// In-flight batches, recycled through free_batches: stage-end events
+  /// hold slot indices, waiter queues plain pointers (deque elements never
+  /// move).
   std::deque<InFlightBatch> batch_pool;
-  std::vector<InFlightBatch*> free_batches;
+  std::vector<std::size_t> free_batches;
+  /// Requests in retry backoff, recycled through free_retries so memory
+  /// tracks the retries outstanding, not the retries ever made.
+  std::vector<PendingRetry> retries;
+  std::vector<std::size_t> free_retries;
+  /// Metric snapshot cadence (set when a metering recorder is attached).
+  double tick_period_s = 0.0;
 
   double last_completion_s = 0.0;
   /// Time of the first request to actually arrive, from any source — the
@@ -284,6 +335,44 @@ struct Engine {
   Engine(const ServingConfig& cfg, ServiceTimeOracle& orc,
          const ColocationPlan& pln)
       : config(cfg), oracle(&orc), plan(&pln) {}
+
+  /// The record for one scheduled event (tenant ids fit 32 bits).
+  static Event event(EventKind kind, std::size_t tenant = 0,
+                     std::size_t arg = 0) {
+    return Event{kind, static_cast<std::uint32_t>(tenant), arg};
+  }
+
+  /// Run one popped event through the handler its kind names.
+  void handle(const Event& e) {
+    const std::size_t t = e.tenant;
+    switch (e.kind) {
+      case EventKind::kArrival:
+        open_arrival(t, e.arg);
+        return;
+      case EventKind::kThink:
+        think_done(t);
+        return;
+      case EventKind::kDeadline:
+        tenants[t].timer_armed = false;
+        try_dispatch(t);
+        return;
+      case EventKind::kIterationEnd:
+        end_cont_iteration(t);
+        return;
+      case EventKind::kStageEnd:
+        end_stage(&batch_pool[e.arg]);
+        return;
+      case EventKind::kRetry:
+        retry(t, e.arg);
+        return;
+      case EventKind::kMetricsTick:
+        metrics_tick();
+        return;
+      case EventKind::kFault:
+        apply_fault(config.elastic.faults[e.arg]);
+        return;
+    }
+  }
 
   /// Shed trace span (zero duration, tagged with the shed reason) and
   /// counter. kSlaShed has exactly one reject reason today; the tag keeps
@@ -439,7 +528,7 @@ struct Engine {
   }
 
   /// Per-dispatch metrics shared by both pipeline modes (`run` is the
-  /// batch's oracle result, in scope only at dispatch).
+  /// batch's first oracle result, in scope only at dispatch).
   void record_dispatch_metrics(unsigned batch_size,
                                const core::RunResult& run) {
     if (rec->metering()) {
@@ -447,7 +536,19 @@ struct Engine {
       m.add("serve.batches");
       m.observe("serve.batch_size", static_cast<double>(batch_size));
       m.set("resipi.active_gateways", run.mean_active_gateways);
-      m.add("serve.energy_j", run.energy_j);
+    }
+  }
+
+  /// Book executed energy outside the tenant's own fold: the day-curve
+  /// bucket at `start` and the serve.energy_j counter. Called once per
+  /// whole batch and once per continuous iteration, so the counter sums
+  /// to the tenants' energy_j.
+  void book_energy(double start, double energy_j) {
+    if (DayPoint* bucket = curve_bucket(start)) {
+      bucket->energy_j += energy_j;
+    }
+    if (rec != nullptr && rec->metering()) {
+      rec->metrics().add("serve.energy_j", energy_j);
     }
   }
 
@@ -564,7 +665,7 @@ struct Engine {
   /// and emit one row per live series, re-arming while any tenant is
   /// active. Read-only observer — it never touches engine state, so an
   /// attached recorder cannot change simulation results.
-  void metrics_tick(double period_s) {
+  void metrics_tick() {
     bool active = false;
     std::size_t depth = 0;
     std::size_t inflight = 0;
@@ -580,8 +681,7 @@ struct Engine {
     m.set("serve.inflight_batches", static_cast<double>(inflight));
     m.snapshot(events.now());
     if (active) {
-      events.schedule_in(period_s,
-                         [this, period_s] { metrics_tick(period_s); });
+      events.schedule_in(tick_period_s, event(EventKind::kMetricsTick));
     }
   }
 
@@ -930,10 +1030,9 @@ struct Engine {
         if (rec != nullptr && rec->metering()) {
           rec->metrics().add("serve.retries");
         }
-        events.schedule_in(
-            backoff, [this, t, r = std::move(request), attempt]() mutable {
-              offer(t, std::move(r), attempt + 1);
-            });
+        const std::size_t slot = take_slot(retries, free_retries);
+        retries[slot] = PendingRetry{request, attempt + 1};
+        events.schedule_in(backoff, event(EventKind::kRetry, t, slot));
         return;
       }
       if (config.elastic.retrying()) {
@@ -948,10 +1047,22 @@ struct Engine {
         }
       }
       issue_closed(t);  // the user gets its rejection notice immediately
+      if (ts.arrivals_done) {
+        // The last arrival was rejected: flush the partial batch it
+        // would otherwise have flushed on admission.
+        try_dispatch(t);
+      }
       return;
     }
     ts.queue.push(request);
     try_dispatch(t);
+  }
+
+  /// A backoff ended: free the retry slot and re-offer its request.
+  void retry(std::size_t t, std::size_t slot) {
+    const PendingRetry pending = retries[slot];
+    free_retries.push_back(slot);
+    offer(t, pending.request, pending.attempt);
   }
 
   /// kSlaShed's enqueue-time prediction: serve the backlog ahead of this
@@ -1038,31 +1149,36 @@ struct Engine {
     }
     ts.issued += 1;
     const double think_s = ts.think_rng.next_exponential(ts.think_mean_s);
-    events.schedule_in(think_s, [this, t] {
-      TenantState& state = tenants[t];
-      state.arrived += 1;
-      // The last budgeted issue has arrived: flush partial batches.
-      if (state.issued >= state.issue_budget &&
-          state.arrived == state.issued) {
-        state.arrivals_done = true;
-      }
-      arrive(t);
-    });
+    events.schedule_in(think_s, event(EventKind::kThink, t));
+  }
+
+  /// A closed-loop user's think time ended: its request arrives.
+  void think_done(std::size_t t) {
+    TenantState& ts = tenants[t];
+    ts.arrived += 1;
+    // The last budgeted issue has arrived: flush partial batches.
+    if (ts.issued >= ts.issue_budget && ts.arrived == ts.issued) {
+      ts.arrivals_done = true;
+    }
+    arrive(t);
   }
 
   void schedule_arrival(std::size_t t) {
     TenantState& ts = tenants[t];
     const std::size_t i = ts.next_arrival;
-    events.schedule_at(ts.arrivals[i], [this, t, i] {
-      TenantState& state = tenants[t];
-      state.next_arrival = i + 1;
-      if (state.next_arrival < state.arrivals.size()) {
-        schedule_arrival(t);
-      } else {
-        state.arrivals_done = true;
-      }
-      arrive(t);
-    });
+    events.schedule_at(ts.arrivals[i], event(EventKind::kArrival, t, i));
+  }
+
+  /// Open-loop arrival `i` fires: chain the next one, then arrive.
+  void open_arrival(std::size_t t, std::size_t i) {
+    TenantState& ts = tenants[t];
+    ts.next_arrival = i + 1;
+    if (ts.next_arrival < ts.arrivals.size()) {
+      schedule_arrival(t);
+    } else {
+      ts.arrivals_done = true;
+    }
+    arrive(t);
   }
 
   void try_dispatch(std::size_t t) {
@@ -1079,10 +1195,8 @@ struct Engine {
     const auto deadline = ts.queue.next_deadline();
     if (deadline && !ts.timer_armed) {
       ts.timer_armed = true;
-      events.schedule_at(std::max(*deadline, events.now()), [this, t] {
-        tenants[t].timer_armed = false;
-        try_dispatch(t);
-      });
+      events.schedule_at(std::max(*deadline, events.now()),
+                         event(EventKind::kDeadline, t));
     }
   }
 
@@ -1150,7 +1264,8 @@ struct Engine {
   /// request's completion matches the static kNone price bit-for-bit.
   void run_cont_iteration(std::size_t t) {
     TenantState& ts = tenants[t];
-    std::vector<std::size_t> fresh;
+    std::vector<std::size_t>& fresh = ts.fresh;
+    fresh.clear();
     for (std::size_t i = 0; i < ts.active.size(); ++i) {
       if (ts.active[i].kv_tokens == 0) {
         fresh.push_back(i);
@@ -1203,9 +1318,7 @@ struct Engine {
     charge(t, size, start, end, resipi_window_s, ts.occupancy);
     ts.energy_accum_j += run->energy_j;
     report.ledger.merge(run->ledger);
-    if (DayPoint* bucket = curve_bucket(start)) {
-      bucket->energy_j += run->energy_j;
-    }
+    book_energy(start, run->energy_j);
     if (rec != nullptr && rec->tracing()) {
       rec->trace().add_complete(
           prefill_phase ? "prefill" : "decode", "phase", start, end, pid,
@@ -1215,21 +1328,18 @@ struct Engine {
       trace_retune_span(t, start, resipi_window_s, "batch_window");
     }
     ts.iter_running = true;
-    events.schedule_at(end, [this, t, f = std::move(fresh)] {
-      end_cont_iteration(t, f);
-    });
+    events.schedule_at(end, event(EventKind::kIterationEnd, t));
   }
 
   /// Token boundary: land the iteration's tokens, retire finished
   /// sequences, release/grant the shared pool, and schedule the next
   /// iteration.
-  void end_cont_iteration(std::size_t t,
-                          const std::vector<std::size_t>& fresh) {
+  void end_cont_iteration(std::size_t t) {
     TenantState& ts = tenants[t];
     const double now = events.now();
     ts.iter_running = false;
-    if (!fresh.empty()) {
-      for (const std::size_t i : fresh) {
+    if (!ts.fresh.empty()) {
+      for (const std::size_t i : ts.fresh) {
         ActiveSeq& seq = ts.active[i];
         seq.kv_tokens = seq.request.shape.prefill_tokens;
         ts.ttfts.push_back(now - seq.request.arrival_s);
@@ -1356,14 +1466,10 @@ struct Engine {
       std::vector<Request> batch = ts.queue.take(ts.arrivals_done);
       const std::vector<ExecStage>& stages =
           exec_stages(t, static_cast<unsigned>(batch.size()));
-      InFlightBatch* b = nullptr;
-      if (free_batches.empty()) {
-        b = &batch_pool.emplace_back();
-      } else {
-        b = free_batches.back();
-        free_batches.pop_back();
-      }
+      const std::size_t slot = take_slot(batch_pool, free_batches);
+      InFlightBatch* b = &batch_pool[slot];
       *b = InFlightBatch{.tenant = t,
+                         .slot = slot,
                          .id = ts.batch_seq++,
                          .requests = std::move(batch),
                          .stages = &stages};
@@ -1436,9 +1542,7 @@ struct Engine {
     b.prefill_s = first.latency_s * derate_mult;
     ts.report.energy_j += energy_j;
     ts.report.batches += 1;
-    if (DayPoint* bucket = curve_bucket(start)) {
-      bucket->energy_j += energy_j;
-    }
+    book_energy(start, energy_j);
     if (rec != nullptr) {
       record_dispatch_metrics(batch_size, first);
     }
@@ -1524,7 +1628,7 @@ struct Engine {
     if (rec != nullptr) {
       record_stage_trace(*b, s, start, end, resipi_window_s, handoff_s);
     }
-    events.schedule_at(end, [this, b] { end_stage(b); });
+    events.schedule_at(end, event(EventKind::kStageEnd, t, b->slot));
   }
 
   /// A stage ended. A layer stage hands its group on before the batch
@@ -1571,7 +1675,7 @@ struct Engine {
       // completion the start of an idle gap (closed at the next dispatch).
       ts.idle_since_s = now;
     }
-    free_batches.push_back(b);
+    free_batches.push_back(b->slot);
   }
 
   /// Grant a released resource to its best waiter, or free it. Highest
@@ -2037,25 +2141,25 @@ ServingReport simulate(const ServingConfig& config) {
           span_s > 0.0 ? span_s / 64.0 : std::max(max_sla_s, 1e-6);
     }
     const double start_s = std::isfinite(first) ? first : 0.0;
-    engine.events.schedule_at(start_s + period_s, [&engine, period_s] {
-      engine.metrics_tick(period_s);
-    });
+    engine.tick_period_s = period_s;
+    engine.events.schedule_at(start_s + period_s,
+                              Engine::event(EventKind::kMetricsTick));
   }
 
-  for (const FaultSpec& fault : config.elastic.faults) {
+  for (std::size_t f = 0; f < config.elastic.faults.size(); ++f) {
+    const FaultSpec& fault = config.elastic.faults[f];
     if (!fault.armed()) {
       continue;  // t = inf (or a no-op spec) schedules nothing: inert.
     }
     OPTIPLET_REQUIRE(
         fault.chiplet < static_cast<int>(plan.chiplet_active_power_w.size()),
         "fault chiplet id out of the pool");
-    engine.events.schedule_at(fault.time_s, [&engine, fault] {
-      engine.apply_fault(fault);
-    });
+    engine.events.schedule_at(fault.time_s,
+                              Engine::event(EventKind::kFault, 0, f));
   }
   reject_faults_that_empty_needed_kinds(config, engine.base_demands);
 
-  engine.events.run();
+  engine.events.run([&engine](const Event& e) { engine.handle(e); });
   if (config.elastic.gate) {
     // Close every open idle gap at the measured-window end so tail idle
     // past the gate threshold is gated like any interior gap.

@@ -9,32 +9,37 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "util/require.hpp"
 
 namespace optiplet::sim {
 
-/// Min-heap of (time, seq) → callback. Not thread-safe by design: the
-/// transaction simulator is single-threaded.
+/// Min-heap of (time, seq) → `Event`, a plain record the caller dispatches
+/// itself: nothing is type-erased or heap-allocated per event. Not
+/// thread-safe by design: the transaction simulator is single-threaded.
+template <class Event>
 class EventQueue {
- public:
-  using Callback = std::function<void()>;
+  static_assert(std::is_trivially_copyable_v<Event>,
+                "events are plain records, copied in and out of the heap");
 
-  /// Schedule `cb` at absolute time `t` (seconds); t must not precede now().
-  void schedule_at(double t, Callback cb) {
+ public:
+  /// Schedule `event` at absolute time `t` (seconds); t must not precede
+  /// now().
+  void schedule_at(double t, const Event& event) {
     OPTIPLET_REQUIRE(t >= now_, "cannot schedule in the past");
-    heap_.push_back(Entry{t, next_seq_++, std::move(cb)});
+    heap_.push_back(Entry{t, next_seq_++, event});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     if (heap_.size() > peak_size_) {
       peak_size_ = heap_.size();
     }
   }
 
-  /// Schedule `cb` `dt` seconds from now; dt must be non-negative.
-  void schedule_in(double dt, Callback cb) {
+  /// Schedule `event` `dt` seconds from now; dt must be non-negative.
+  void schedule_in(double dt, const Event& event) {
     OPTIPLET_REQUIRE(dt >= 0.0, "negative delay");
-    schedule_at(now_ + dt, std::move(cb));
+    schedule_at(now_ + dt, event);
   }
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
@@ -47,36 +52,35 @@ class EventQueue {
   [[nodiscard]] std::uint64_t processed() const { return processed_; }
   [[nodiscard]] std::size_t peak_size() const { return peak_size_; }
 
-  /// Pop and run the earliest event; returns false when the queue is empty.
-  bool step() {
+  /// Pop the earliest event and hand it to `handler(const Event&)`, which
+  /// may schedule more; returns false when the queue is empty.
+  template <class Handler>
+  bool step(Handler&& handler) {
     if (heap_.empty()) {
       return false;
     }
-    // Move out before running so the callback may schedule new events;
-    // moving (not copying) skips duplicating the callback's captures.
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    Entry e = std::move(heap_.back());
+    const Entry e = heap_.back();
     heap_.pop_back();
     now_ = e.time;
     ++processed_;
-    e.cb();
+    handler(e.event);
     return true;
   }
 
-  /// Run until empty or `max_events` processed; returns events processed.
-  std::uint64_t run(std::uint64_t max_events = ~0ULL) {
-    std::uint64_t n = 0;
-    while (n < max_events && step()) {
-      ++n;
+  /// Step until the queue is empty.
+  template <class Handler>
+  void run(Handler&& handler) {
+    while (!heap_.empty()) {
+      step(handler);
     }
-    return n;
   }
 
  private:
   struct Entry {
     double time;
     std::uint64_t seq;
-    Callback cb;
+    Event event;
 
     bool operator>(const Entry& other) const {
       if (time != other.time) {

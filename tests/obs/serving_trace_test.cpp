@@ -201,6 +201,36 @@ TEST(ServingTrace, MetricsCoverTheAdvertisedSeries) {
   EXPECT_DOUBLE_EQ(recorder.metrics().counter("serve.offered"), 150.0);
 }
 
+TEST(ServingTrace, EnergyCounterSumsEveryTenantsEnergy) {
+  // Whole-batch and continuous TinyGPT runs charge prefill plus every
+  // decode step; a CNN run charges its fixed-shape batches.
+  serve::ServingSpec whole = small_spec();
+  whole.tenant_mix = "TinyGPT";
+  whole.arrival_rps = 200.0;
+  whole.requests = 40;
+  whole.prefill_tokens = 32;
+  whole.decode_tokens = 8;
+  whole.policy = serve::BatchPolicy::kFixedSize;
+  serve::ServingSpec continuous = whole;
+  continuous.policy = serve::BatchPolicy::kContinuous;
+  serve::ServingSpec cnn = small_spec();
+  cnn.policy = serve::BatchPolicy::kDeadline;
+  for (const serve::ServingSpec& spec : {whole, continuous, cnn}) {
+    RecorderOptions options;
+    options.trace = false;
+    Recorder recorder(options);
+    const serve::ServingReport report = run_with(spec, &recorder);
+    double tenants_j = 0.0;
+    for (const serve::TenantReport& t : report.tenants) {
+      tenants_j += t.energy_j;
+    }
+    ASSERT_GT(tenants_j, 0.0) << serve::to_string(spec.policy);
+    EXPECT_NEAR(recorder.metrics().counter("serve.energy_j"), tenants_j,
+                1e-9 * tenants_j)
+        << serve::to_string(spec.policy);
+  }
+}
+
 TEST(ServingTrace, AttachingARecorderNeverChangesResults) {
   const serve::ServingSpec spec = small_spec();
   Recorder recorder;
